@@ -9,7 +9,7 @@ use bat_analysis::{
 };
 use bat_core::{Error, Protocol, TuningProblem};
 use bat_harness::{
-    run_campaign, CampaignSummary, Endpoint, ExperimentSpec, RecordLevel, SeedPolicy, Selector,
+    run_campaign, CampaignSummary, ExperimentSpec, RecordLevel, SeedPolicy, Selector,
 };
 use bat_space::Neighborhood;
 use bat_tuners::default_tuners;
@@ -466,7 +466,7 @@ pub fn cmd_tune(opts: &Opts) {
 
     let b = bench_on(&bench, arch);
     let protocol = Protocol::default().with_batch(batch);
-    let (run, _stats) = bat_harness::run_tuning(&b, tuner.as_ref(), protocol, budget, seed);
+    let (run, _stats) = bat_harness::run_tuning(&b, tuner.as_ref(), protocol, budget, seed, false);
     println!(
         "tuned {bench} on {} with {} ({} evaluations, {} successful)",
         arch.name,
@@ -813,12 +813,13 @@ pub fn cmd_pareto(opts: &Opts) {
     for bench in selected_benches(opts) {
         for arch in selected_archs(opts) {
             let b = bench_on(&bench, &arch);
-            let (run, stats) = bat_harness::run_tuning_with_energy(
+            let (run, stats) = bat_harness::run_tuning(
                 &b,
                 tuner.as_ref(),
                 Protocol::default().with_batch(batch),
                 budget,
                 seed,
+                true,
             );
             let archive = bat_moo::front_of_run(&run, capacity);
             println!(
@@ -881,77 +882,6 @@ pub fn cmd_pareto(opts: &Opts) {
     }
 }
 
-/// Parse `--threads N` and size the worker pool before any parallel work.
-fn apply_threads(opts: &Opts) -> Result<(), Error> {
-    if let Some(threads) = opts.get("--threads") {
-        let n: usize = threads.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            Error::spec(format!(
-                "--threads expects a positive integer, got {threads:?}"
-            ))
-        })?;
-        if !rayon::set_global_threads(n) {
-            return Err(Error::spec(
-                "--threads came too late: the worker pool already started",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `bat campaign` — run a declarative campaign spec through the harness
-/// (the CLI face of the `bat-harness` binary). `--connect` routes trial
-/// evaluation through a tuning daemon (loopback or TCP); the artifact is
-/// byte-identical to the in-process run.
-pub fn cmd_campaign(opts: &Opts) -> Result<(), Error> {
-    apply_threads(opts)?;
-    if let Some(trace) = opts.get("--trace") {
-        bat_obs::trace::install(std::path::Path::new(&trace))
-            .map_err(|e| Error::io(format!("--trace {trace}: {e}")))?;
-    }
-    let path = opts
-        .get("--spec")
-        .ok_or_else(|| Error::spec("--spec FILE is required; see specs/ for examples"))?;
-    let mut spec = bat_harness::load_spec_file(&path)?;
-    if let Some(batch) = opts.get("--batch") {
-        let batch: u32 = batch
-            .parse()
-            .map_err(|_| Error::spec(format!("bad --batch value {batch:?}")))?;
-        spec.protocol.set_batch(batch);
-    }
-    if let Some(rate) = opts.get("--fault-rate") {
-        let rate: f64 = rate
-            .parse()
-            .ok()
-            .filter(|r| (0.0..=1.0).contains(r))
-            .ok_or_else(|| Error::spec(format!("--fault-rate must be in [0, 1], got {rate:?}")))?;
-        spec.set_fault_rate(rate);
-    }
-    let endpoint = match opts.get("--connect") {
-        Some(ep) => Endpoint::parse(&ep).map_err(Error::from)?,
-        None => Endpoint::InProcess,
-    };
-    let out = opts.get("--out");
-    let cache = opts.get("--cache");
-    let run = bat_harness::run_spec_to_file_cached(
-        &spec,
-        out.as_deref(),
-        opts.has("--resume"),
-        false,
-        &endpoint,
-        cache.as_deref(),
-    )?;
-
-    match &out {
-        Some(p) => println!("wrote {p}"),
-        // Artifact on stdout; the report goes to stderr so a redirected
-        // artifact stays parseable.
-        None => println!("{}", run.result.to_json()),
-    }
-    bat_harness::report_run(&run, false);
-    bat_obs::trace::flush();
-    Ok(())
-}
-
 /// `bat serve` — host tuning sessions as a long-running daemon. Clients
 /// (`bat campaign --connect HOST:PORT`, `bat-harness run --connect ...`,
 /// or any `bat/wire/v1` speaker) open sessions, stream evaluation batches
@@ -959,7 +889,9 @@ pub fn cmd_campaign(opts: &Opts) -> Result<(), Error> {
 /// fairly across sessions and bounds each session's in-flight work.
 /// Serves until a client sends a `shutdown` request.
 pub fn cmd_serve(opts: &Opts) -> Result<(), Error> {
-    apply_threads(opts)?;
+    if let Some(threads) = opts.get("--threads") {
+        bat_harness::set_threads(&threads)?;
+    }
     let addr = opts
         .get("--addr")
         .unwrap_or_else(|| "127.0.0.1:4780".into());

@@ -6,6 +6,8 @@
 mod commands;
 mod ctx;
 
+use std::process::ExitCode;
+
 use ctx::Opts;
 
 const HELP: &str = "\
@@ -29,16 +31,9 @@ SUITE COMMANDS:
     tune                 run one tuner  (--bench, --tuner, --budget, --seed, --batch, --json, --t4, --source)
     pareto               multi-objective tuning: time × energy Pareto fronts
                          (--bench, --arch, --budget, --seed, --tuner, --capacity, --batch)
-    campaign             run a declarative campaign spec (--spec FILE, --out FILE, --resume,
-                         --batch N, --fault-rate R, --threads N, --connect EP,
-                         --cache FILE reuses a bat/cache/v1 store: exact-hit
-                         trials replay verbatim (warm artifact byte-identical
-                         to cold), misses tune and fold back in atomically;
-                         --trace FILE writes a bat/trace/v1 JSONL span trace;
-                         EP = in-process | loopback | HOST:PORT of a
-                         `bat serve` daemon — artifacts are byte-identical
-                         across endpoints; thread-count precedence:
-                         --threads > BAT_THREADS > host cores)
+    campaign             run a declarative campaign spec: the same command as
+                         `bat-harness run`, with the same flags (--spec FILE,
+                         --out FILE, ...; `bat-harness help` lists them all)
     cache                inspect/merge/evict bat/cache/v1 stores:
                          inspect --input FILE [--bench B --arch A ranks
                          warm-start donor architectures], merge --inputs
@@ -86,11 +81,11 @@ fn fail_on_error(outcome: Result<(), bat_core::Error>) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else {
         print!("{HELP}");
-        std::process::exit(2);
+        return ExitCode::from(2);
     };
     let opts = Opts::new(&args[1..]);
     match cmd {
@@ -105,7 +100,10 @@ fn main() {
         "fig6" => commands::cmd_fig6(&opts),
         "tune" => commands::cmd_tune(&opts),
         "pareto" => commands::cmd_pareto(&opts),
-        "campaign" => fail_on_error(commands::cmd_campaign(&opts)),
+        "campaign" => match bat_harness::run_command(&args[1..]) {
+            Ok(code) => return code,
+            Err(e) => fail_on_error(Err(e)),
+        },
         "serve" => fail_on_error(commands::cmd_serve(&opts)),
         "cache" => fail_on_error(commands::cmd_cache(&opts)),
         "compare" => commands::cmd_compare(&opts),
@@ -120,7 +118,8 @@ fn main() {
         other => {
             eprintln!("unknown command {other:?}\n");
             print!("{HELP}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     }
+    ExitCode::SUCCESS
 }

@@ -6,81 +6,29 @@
 //! what order they finished. Resume works the same way: trials already
 //! present in a prior (possibly partial) result are reused verbatim and
 //! only the missing ones execute.
+//!
+//! Every public entry point is a thin configuration of one private
+//! engine, [`execute`], and every trial — in-process or remote — is
+//! recorded by one function, [`record_trial`].
 
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use bat_core::{
-    Error, EvalBackend, Evaluator, FaultModel, Protocol, RetryPolicy, TuningProblem, TuningRun,
-};
+use bat_core::{Error, EvalBackend, Evaluator, Protocol, TuningProblem, TuningRun};
 use bat_server::wire::OpenSession;
 use bat_server::{Daemon, RemoteBackend, ServerConfig};
 use bat_tuners::{default_tuners, Tuner};
 
 use crate::result::{CampaignResult, TrialRecord, RESULT_SCHEMA};
-use crate::spec::{CompiledTrial, ExperimentSpec, ObjectiveMode, RecordLevel, SpecError};
+use crate::spec::{CompiledTrial, ExperimentSpec, ObjectiveMode, RecordLevel};
 
-/// A campaign execution failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HarnessError {
-    /// The spec is not runnable.
-    Spec(SpecError),
-    /// A prior result offered for resume does not belong to this spec.
-    ResumeMismatch(String),
-    /// A trial could not be executed (unknown tuner/benchmark/arch —
-    /// normally caught by validation, but resumable artifacts make this
-    /// reachable again).
-    Trial(String),
-    /// A checkpoint callback (artifact write) failed.
-    Io(String),
-    /// The evaluation backend failed (remote endpoints only: transport,
-    /// wire or session errors from the daemon — the in-process path
-    /// cannot produce these).
-    Eval(Error),
-}
-
-impl std::fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HarnessError::Spec(e) => e.fmt(f),
-            HarnessError::ResumeMismatch(m) => write!(f, "cannot resume: {m}"),
-            HarnessError::Trial(m) => write!(f, "trial failed: {m}"),
-            HarnessError::Io(m) => write!(f, "checkpoint failed: {m}"),
-            HarnessError::Eval(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for HarnessError {}
-
-impl From<SpecError> for HarnessError {
-    fn from(e: SpecError) -> Self {
-        HarnessError::Spec(e)
-    }
-}
-
-impl From<Error> for HarnessError {
-    fn from(e: Error) -> Self {
-        HarnessError::Eval(e)
-    }
-}
-
-/// Every harness failure folds into the unified [`bat_core::Error`]
-/// hierarchy, so front-ends (the CLI, the daemon) report one error type
-/// regardless of which layer failed.
-impl From<HarnessError> for Error {
-    fn from(e: HarnessError) -> Self {
-        match e {
-            HarnessError::Spec(s) => Error::spec(s),
-            HarnessError::ResumeMismatch(m) => Error::session(format!("cannot resume: {m}")),
-            HarnessError::Trial(m) => Error::spec(m),
-            HarnessError::Io(m) => Error::io(m),
-            HarnessError::Eval(e) => e,
-        }
-    }
-}
+/// Trials executed between checkpoint writes of the output artifact.
+/// Small enough that an interrupted long campaign loses little work,
+/// large enough that serialization stays a rounding error next to trial
+/// execution.
+pub(crate) const CHECKPOINT_TRIALS: usize = 32;
 
 /// Where campaign trials evaluate.
 ///
@@ -107,14 +55,14 @@ pub enum Endpoint {
 impl Endpoint {
     /// Parse a `--connect` argument: `in-process`, `loopback`, or a
     /// `host:port` address.
-    pub fn parse(s: &str) -> Result<Endpoint, HarnessError> {
+    pub fn parse(s: &str) -> Result<Endpoint, Error> {
         match s {
             "in-process" => Ok(Endpoint::InProcess),
             "loopback" => Ok(Endpoint::Loopback),
             addr if addr.contains(':') => Ok(Endpoint::Tcp(addr.to_string())),
-            other => Err(HarnessError::Eval(Error::spec(format!(
+            other => Err(Error::spec(format!(
                 "bad endpoint {other:?}: expected in-process, loopback, or host:port"
-            )))),
+            ))),
         }
     }
 }
@@ -144,10 +92,11 @@ impl Target {
 /// [`CampaignResult`], which must stay a pure function of the spec.
 #[derive(Debug)]
 pub struct CampaignRun {
-    /// The deterministic artifact (partial under [`advance_campaign`]'s
-    /// trial limit, complete otherwise).
+    /// The deterministic artifact.
     pub result: CampaignResult,
-    /// Whether every compiled trial is present in `result`.
+    /// Whether every compiled trial is present in `result` — always true
+    /// for a returned run: an interrupted run returns nothing and leaves
+    /// its last checkpoint on disk instead.
     pub complete: bool,
     /// Trials executed in this run.
     pub executed: usize,
@@ -207,70 +156,40 @@ pub fn tuner_by_name(name: &str) -> Option<Box<dyn Tuner>> {
 /// whose provided `stats()` builds it from the backend's own counters.
 pub use bat_core::EvalStats;
 
-fn run_tuning_impl(
+/// The harness measurement discipline: a fresh budgeted [`Evaluator`]
+/// per run, measuring energy too when `energy` is set.
+fn evaluator(
     problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
     protocol: Protocol,
     budget: u64,
-    seed: u64,
     energy: bool,
-    faults: Option<(FaultModel, RetryPolicy)>,
-) -> (TuningRun, EvalStats) {
-    let mut eval = Evaluator::with_protocol(problem, protocol).with_budget(budget);
+) -> Evaluator<'_> {
+    let eval = Evaluator::with_protocol(problem, protocol).with_budget(budget);
     if energy {
-        eval = eval.with_energy();
+        eval.with_energy()
+    } else {
+        eval
     }
-    if let Some((model, policy)) = faults {
-        eval = eval.with_faults(model, policy);
-    }
-    let run = tuner.tune(&eval, seed);
-    let stats = EvalBackend::stats(&eval);
-    (run, stats)
 }
 
 /// Run one tuner on one problem under the harness measurement discipline:
 /// a fresh budgeted [`Evaluator`] per run, everything flowing through the
-/// shared protocol. This is the single tuning entry point used by the
-/// campaign engine and the `bat tune` subcommand alike.
+/// shared protocol. `energy` turns on the second objective, so
+/// measurements carry `energy_mj` whenever the problem prices it (what
+/// `bat pareto` needs); without it the run is the historical time-only one.
 pub fn run_tuning(
     problem: &dyn TuningProblem,
     tuner: &dyn Tuner,
     protocol: Protocol,
     budget: u64,
     seed: u64,
-) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, false, None)
-}
-
-/// [`run_tuning`] with energy measurement enabled: measurements carry
-/// `energy_mj` whenever the problem prices it. The entry point of every
-/// non-`time` objective.
-pub fn run_tuning_with_energy(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
-) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, true, None)
-}
-
-/// [`run_tuning`] under a fault model: evaluations flow through the
-/// resilient retry/quarantine pipeline and the returned stats carry its
-/// counters. `energy` selects the two-objective measurement path.
-pub fn run_tuning_with_faults(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
     energy: bool,
-    faults: (FaultModel, RetryPolicy),
 ) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, energy, Some(faults))
+    let eval = evaluator(problem, protocol, budget, energy);
+    let run = tuner.tune(&eval, seed);
+    (run, eval.stats())
 }
 
-/// Execute one compiled trial under its objective.
 /// The wire-session description of one compiled trial: same protocol,
 /// budget, energy flag, scalarization and fault block the in-process
 /// evaluator would get, so the daemon's session is semantically the
@@ -284,137 +203,90 @@ fn open_session(ct: &CompiledTrial) -> OpenSession {
     open
 }
 
-/// Execute one trial against an open remote session. The shared ask/tell
-/// driver runs against the [`RemoteBackend`] exactly as it runs against
-/// the in-process evaluator; the Pareto front (like the rest of the
-/// record) is derived client-side from the returned run.
-fn execute_trial_remote<S: Read + Write>(
-    ct: &CompiledTrial,
-    backend: RemoteBackend<S>,
-) -> Result<TrialRecord, HarnessError> {
+/// Tune `ct` against `backend` and record the trial — the one trial
+/// recorder of every endpoint. The shared ask/tell driver runs against
+/// any backend alike, and the Pareto front (like the rest of the record)
+/// is derived from the returned run.
+fn record_trial(ct: &CompiledTrial, backend: &dyn EvalBackend) -> Result<TrialRecord, Error> {
     let tuner = tuner_by_name(&ct.key.tuner)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown tuner {:?}", ct.key.tuner)))?;
+        .ok_or_else(|| Error::spec(format!("unknown tuner {:?}", ct.key.tuner)))?;
+    let run = tuner.try_tune(backend, ct.seed)?;
+    let names = backend.space().names();
     let keep_history = ct.record == RecordLevel::Full;
-    let names = backend.space().names().to_vec();
-    let run = tuner.try_tune(&backend, ct.seed)?;
-    let stats = EvalBackend::stats(&backend);
-    let mut record = TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history);
+    let mut record =
+        TrialRecord::from_run(&ct.key, ct.seed, &run, names, backend.stats(), keep_history);
     if ct.objective.mode == ObjectiveMode::Pareto {
         let front = bat_moo::front_of_run(&run, ct.objective.front_capacity());
         record.front = Some(front.front().to_vec());
     }
+    Ok(record)
+}
+
+/// Record `ct` over an open remote session, then close it.
+fn record_remote<S: Read + Write>(
+    ct: &CompiledTrial,
+    backend: RemoteBackend<S>,
+) -> Result<TrialRecord, Error> {
+    let record = record_trial(ct, &backend)?;
     backend.close()?;
     Ok(record)
 }
 
-/// [`execute_trial`] wrapped in a `trial` trace span parented (via
-/// explicit id — trials run on pool threads, not under the campaign
-/// span's thread stack) to the enclosing `campaign` span.
-fn execute_trial_traced(
-    ct: &CompiledTrial,
-    target: &Target,
-    parent: u64,
-) -> Result<TrialRecord, HarnessError> {
+/// The evaluator an in-process trial tunes `problem` with: every
+/// non-`time` mode measures energy, and a spec-level `faults` block
+/// installs the fault model and retry policy. Without one the evaluation
+/// path — and therefore every artifact byte — is exactly the pre-fault
+/// one.
+fn trial_evaluator<'p>(problem: &'p dyn TuningProblem, ct: &CompiledTrial) -> Evaluator<'p> {
+    let energy = ct.objective.mode != ObjectiveMode::Time;
+    let eval = evaluator(problem, ct.protocol, ct.budget, energy);
+    match ct.faults {
+        Some(f) => eval.with_faults(f.model(), f.retry_policy()),
+        None => eval,
+    }
+}
+
+/// Record `ct` with an in-process evaluator. The trial only chooses its
+/// problem: blended objectives wrap the kernel in a
+/// [`bat_moo::Scalarized`] (`best_ms` then holds the blend), time and
+/// Pareto modes tune the kernel itself.
+fn record_in_process(ct: &CompiledTrial) -> Result<TrialRecord, Error> {
+    let arch = bat_gpusim::GpuArch::by_name(&ct.key.architecture)
+        .ok_or_else(|| Error::spec(format!("unknown GPU {:?}", ct.key.architecture)))?;
+    let problem = bat_kernels::benchmark(&ct.key.benchmark, arch)
+        .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
+    match ct.objective.scalarization() {
+        None => record_trial(ct, &trial_evaluator(&problem, ct)),
+        Some(s) => {
+            let blended = bat_moo::Scalarized::new(problem, s);
+            record_trial(ct, &trial_evaluator(&blended, ct))
+        }
+    }
+}
+
+/// Execute one trial at `target`, wrapped in a `trial` trace span
+/// parented (via explicit id — trials run on pool threads, not under the
+/// campaign span's thread stack) to the enclosing `campaign` span.
+fn execute_trial(ct: &CompiledTrial, target: &Target, parent: u64) -> Result<TrialRecord, Error> {
     let mut sp = bat_obs::trace::span_at("trial", parent);
     sp.record_str("tuner", &ct.key.tuner);
     sp.record_str("benchmark", &ct.key.benchmark);
     sp.record_u64("seed", ct.seed);
-    let out = execute_trial(ct, target);
+    let out = match target {
+        Target::InProcess => record_in_process(ct),
+        Target::Loopback(daemon) => record_remote(
+            ct,
+            RemoteBackend::open(daemon.connect_loopback(), open_session(ct))?,
+        ),
+        Target::Tcp(addr) => record_remote(ct, RemoteBackend::connect(addr, open_session(ct))?),
+    };
     if let Ok(record) = &out {
         sp.record_u64("evals", record.evals);
     }
     out
 }
 
-fn execute_trial(ct: &CompiledTrial, target: &Target) -> Result<TrialRecord, HarnessError> {
-    match target {
-        Target::InProcess => execute_trial_in_process(ct),
-        Target::Loopback(daemon) => execute_trial_remote(
-            ct,
-            RemoteBackend::open(daemon.connect_loopback(), open_session(ct))?,
-        ),
-        Target::Tcp(addr) => {
-            execute_trial_remote(ct, RemoteBackend::connect(addr, open_session(ct))?)
-        }
-    }
-}
-
-fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, HarnessError> {
-    let arch = bat_gpusim::GpuArch::by_name(&ct.key.architecture)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown GPU {:?}", ct.key.architecture)))?;
-    let problem = bat_kernels::benchmark(&ct.key.benchmark, arch)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
-    let tuner = tuner_by_name(&ct.key.tuner)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown tuner {:?}", ct.key.tuner)))?;
-    let keep_history = ct.record == RecordLevel::Full;
-    let names = bat_core::TuningProblem::space(&problem).names().to_vec();
-    // A spec-level `faults` block installs the fault model + retry policy
-    // on the trial's evaluator; without one, the evaluation path — and
-    // therefore every artifact byte — is exactly the pre-fault one.
-    let faults = ct.faults.map(|f| (f.model(), f.retry_policy()));
-
-    let record = match ct.objective.mode {
-        // The historical single-objective path, untouched: no energy is
-        // measured, so the artifact is byte-identical to the pre-moo suite.
-        ObjectiveMode::Time => {
-            let (run, stats) = run_tuning_impl(
-                &problem,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                false,
-                faults,
-            );
-            TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history)
-        }
-        // Scalarized modes: every tuner optimizes the blend through the
-        // ordinary evaluator interface; `best_ms` holds the blended
-        // objective and `best_energy_mj` the underlying energy.
-        ObjectiveMode::Energy
-        | ObjectiveMode::Edp
-        | ObjectiveMode::Scalarized
-        | ObjectiveMode::Chebyshev => {
-            let scalarization = ct
-                .objective
-                .scalarization()
-                .expect("blended modes always map to a scalarization");
-            let blended = bat_moo::Scalarized::new(problem, scalarization);
-            let (run, stats) = run_tuning_impl(
-                &blended,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                true,
-                faults,
-            );
-            TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history)
-        }
-        // Pareto mode: both objectives are measured and the trial records
-        // its bounded non-dominated front.
-        ObjectiveMode::Pareto => {
-            let (run, stats) = run_tuning_impl(
-                &problem,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                true,
-                faults,
-            );
-            let front = bat_moo::front_of_run(&run, ct.objective.front_capacity());
-            let mut record =
-                TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history);
-            record.front = Some(front.front().to_vec());
-            record
-        }
-    };
-    Ok(record)
-}
-
-/// How trials are scheduled (internal: callers pick via
-/// [`run_campaign`] vs [`run_campaign_serial`]).
+/// How trials are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Execution {
     /// Fan trials out over the compat-rayon pool (the default).
@@ -425,7 +297,7 @@ pub(crate) enum Execution {
 
 /// How strictly a prior artifact's spec must match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PriorMatch {
+pub(crate) enum PriorMatch {
     /// Byte-for-byte spec equality — the resume contract. Kept strict on
     /// purpose: resuming a *sharded* spec from an unsharded artifact would
     /// let the checkpoint writer overwrite a complete artifact with the
@@ -437,14 +309,16 @@ enum PriorMatch {
     IgnoreShard,
 }
 
+/// Check that `prior` is an artifact of `spec`'s campaign. A mismatch is
+/// an [`Error::Session`] starting "cannot resume".
 fn validate_prior(
     spec: &ExperimentSpec,
     prior: &CampaignResult,
     matching: PriorMatch,
-) -> Result<(), HarnessError> {
+) -> Result<(), Error> {
     if prior.schema != RESULT_SCHEMA {
-        return Err(HarnessError::ResumeMismatch(format!(
-            "prior result schema {:?} is not {RESULT_SCHEMA:?}",
+        return Err(Error::session(format!(
+            "cannot resume: prior result schema {:?} is not {RESULT_SCHEMA:?}",
             prior.schema
         )));
     }
@@ -453,8 +327,8 @@ fn validate_prior(
         PriorMatch::IgnoreShard => prior.spec.same_campaign(spec),
     };
     if !matches {
-        return Err(HarnessError::ResumeMismatch(
-            "prior result was produced by a different spec".into(),
+        return Err(Error::session(
+            "cannot resume: prior result was produced by a different spec",
         ));
     }
     Ok(())
@@ -495,210 +369,35 @@ fn reuse_record(index: &PriorIndex<'_>, ct: &CompiledTrial) -> Option<TrialRecor
         .map(|r| (*r).clone())
 }
 
-fn run_impl(
+/// A checkpoint callback: receives the canonical-order partial artifact.
+pub(crate) type Checkpoint<'a> = &'a mut dyn FnMut(&CampaignResult) -> Result<(), Error>;
+
+/// The campaign engine behind every entry point.
+///
+/// Every compiled trial found in `priors` (validated under `matching`;
+/// the first prior holding a key wins) is reused verbatim, the rest
+/// execute at `endpoint`. Without a `checkpoint` all pending trials run
+/// in one pass. With one, they run in [`CHECKPOINT_TRIALS`]-sized steps
+/// and `checkpoint` receives the partial artifact after each step (and
+/// once up front when every trial was reused), so an interrupted run
+/// loses at most one step.
+pub(crate) fn execute(
     spec: &ExperimentSpec,
     priors: &[&CampaignResult],
     matching: PriorMatch,
     execution: Execution,
-    limit: Option<usize>,
     endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
+    mut checkpoint: Option<Checkpoint<'_>>,
+) -> Result<CampaignRun, Error> {
     let target = Target::of(endpoint);
-    let compiled = spec.compile()?;
+    let compiled = spec.compile().map_err(Error::spec)?;
     for p in priors {
         validate_prior(spec, p, matching)?;
     }
 
-    // Slot per compiled trial: resume fills what it can, execution fills
-    // the rest. Output order is the canonical compiled order either way.
-    let prior_index = index_prior(priors);
-    let mut slots: Vec<Option<TrialRecord>> = compiled
-        .iter()
-        .map(|ct| reuse_record(&prior_index, ct))
-        .collect();
-    let mut todo: Vec<(usize, &CompiledTrial)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| (i, &compiled[i]))
-        .collect();
-    let reused = compiled.len() - todo.len();
-    if let Some(limit) = limit {
-        todo.truncate(limit);
-    }
-    let executed = todo.len();
-
-    let mut campaign_span = bat_obs::trace::span("campaign");
-    campaign_span.record_str("name", &spec.name);
-    campaign_span.record_u64("trials", compiled.len() as u64);
-    campaign_span.record_u64("reused", reused as u64);
-    let parent = campaign_span.id();
-
-    let start = Instant::now();
-    let outcomes: Vec<(usize, Result<TrialRecord, HarnessError>)> = match execution {
-        Execution::Parallel => todo
-            .into_par_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect(),
-        Execution::Serial => todo
-            .into_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect(),
-    };
-    let wall = start.elapsed();
-    let mut executed_evals = 0u64;
-    for (i, outcome) in outcomes {
-        let record = outcome?;
-        executed_evals += record.evals;
-        slots[i] = Some(record);
-    }
-
-    // Under a `limit`, unexecuted slots stay empty and the result is a
-    // canonical-order partial artifact (what checkpointed runs write).
-    let complete = slots.iter().all(Option::is_some);
-    Ok(CampaignRun {
-        result: CampaignResult {
-            schema: RESULT_SCHEMA.to_string(),
-            spec: spec.clone(),
-            trials: slots.into_iter().flatten().collect(),
-        },
-        complete,
-        executed,
-        reused,
-        executed_evals,
-        wall,
-    })
-}
-
-/// Run a campaign, fanning trials out over the compat-rayon pool.
-pub fn run_campaign(spec: &ExperimentSpec) -> Result<CampaignRun, HarnessError> {
-    run_campaign_at(spec, &Endpoint::InProcess)
-}
-
-/// [`run_campaign`] against an explicit evaluation [`Endpoint`]. The
-/// artifact is byte-identical across endpoints; only where evaluations
-/// execute changes.
-pub fn run_campaign_at(
-    spec: &ExperimentSpec,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
-    run_impl(
-        spec,
-        &[],
-        PriorMatch::Exact,
-        Execution::Parallel,
-        None,
-        endpoint,
-    )
-}
-
-/// Run a campaign strictly sequentially (the determinism oracle: its
-/// result must be byte-identical to [`run_campaign`]'s).
-pub fn run_campaign_serial(spec: &ExperimentSpec) -> Result<CampaignRun, HarnessError> {
-    run_campaign_serial_primed(spec, None)
-}
-
-/// [`run_campaign_serial`] with an optional prior (e.g. a cache-synthesized
-/// one): matching trials are reused verbatim, the rest execute one by one
-/// on the calling thread. The oracle property extends to priors — the
-/// artifact is byte-identical to the parallel primed run's.
-pub fn run_campaign_serial_primed(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-) -> Result<CampaignRun, HarnessError> {
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
-    run_impl(
-        spec,
-        &priors,
-        PriorMatch::Exact,
-        Execution::Serial,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Run a campaign, reusing every trial of `prior` that matches the spec
-/// (same key and derived seed). `prior` may be partial — e.g. an artifact
-/// from an interrupted run — and may even contain no usable trials, in
-/// which case this degenerates to a full run.
-pub fn resume_campaign(
-    spec: &ExperimentSpec,
-    prior: &CampaignResult,
-) -> Result<CampaignRun, HarnessError> {
-    run_impl(
-        spec,
-        &[prior],
-        PriorMatch::Exact,
-        Execution::Parallel,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Merge any number of (typically shard) artifacts into `spec`'s campaign:
-/// every compiled trial found in a prior is reused (first prior wins),
-/// missing trials execute. Merging the complete shards of a spec therefore
-/// reproduces the unsharded artifact byte-for-byte without executing
-/// anything.
-pub fn merge_campaigns(
-    spec: &ExperimentSpec,
-    priors: &[CampaignResult],
-) -> Result<CampaignRun, HarnessError> {
-    let refs: Vec<&CampaignResult> = priors.iter().collect();
-    run_impl(
-        spec,
-        &refs,
-        PriorMatch::IgnoreShard,
-        Execution::Parallel,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Execute at most `limit` pending trials of `spec`, reusing everything
-/// `prior` already holds. The returned run's result is a canonical-order
-/// (possibly partial) artifact; `complete` reports whether every compiled
-/// trial is now present.
-pub fn advance_campaign(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-    limit: usize,
-) -> Result<CampaignRun, HarnessError> {
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
-    run_impl(
-        spec,
-        &priors,
-        PriorMatch::Exact,
-        Execution::Parallel,
-        Some(limit),
-        &Endpoint::InProcess,
-    )
-}
-
-/// Run a campaign to completion in `batch`-sized steps, invoking
-/// `checkpoint` with the canonical-order partial artifact after each step
-/// (and once up front when every trial was already reused). Records
-/// accumulate in place — unlike chaining [`advance_campaign`] calls,
-/// prior trials are cloned once, not once per batch — so checkpointing a
-/// large campaign costs only the periodic serialization.
-pub fn run_campaign_checkpointed(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-    batch: usize,
-    checkpoint: &mut dyn FnMut(&CampaignResult) -> Result<(), HarnessError>,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
-    assert!(batch > 0, "checkpoint batch must be positive");
-    let target = Target::of(endpoint);
-    let compiled = spec.compile()?;
-    if let Some(p) = prior {
-        validate_prior(spec, p, PriorMatch::Exact)?;
-    }
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
-    let prior_index = index_prior(&priors);
-
     // `present[i]` ⇔ compiled trial `i` is already in `result.trials`
     // (which stays sorted in canonical compiled order throughout).
+    let prior_index = index_prior(priors);
     let mut present = vec![false; compiled.len()];
     let mut trials = Vec::with_capacity(compiled.len());
     for (i, ct) in compiled.iter().enumerate() {
@@ -720,7 +419,11 @@ pub fn run_campaign_checkpointed(
         .map(|(i, _)| (i, &compiled[i]))
         .collect();
     let executed = todo.len();
-    if executed == 0 {
+    let step = match checkpoint {
+        Some(_) => CHECKPOINT_TRIALS,
+        None => executed.max(1),
+    };
+    if let (0, Some(checkpoint)) = (executed, checkpoint.as_mut()) {
         checkpoint(&result)?;
     }
 
@@ -738,12 +441,12 @@ pub fn run_campaign_checkpointed(
     // before reused trials; fresh runs append.
     let mut cursor_i = 0usize;
     let mut cursor_pos = 0usize;
-    for chunk in todo.chunks(batch) {
-        let outcomes: Vec<(usize, Result<TrialRecord, HarnessError>)> = chunk
-            .to_vec()
-            .into_par_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect();
+    for chunk in todo.chunks(step) {
+        let run = |&(i, ct): &(usize, &CompiledTrial)| (i, execute_trial(ct, &target, parent));
+        let outcomes: Vec<(usize, Result<TrialRecord, Error>)> = match execution {
+            Execution::Parallel => chunk.par_iter().map(run).collect(),
+            Execution::Serial => chunk.iter().map(run).collect(),
+        };
         for (i, outcome) in outcomes {
             let record = outcome?;
             executed_evals += record.evals;
@@ -754,7 +457,9 @@ pub fn run_campaign_checkpointed(
             result.trials.insert(cursor_pos, record);
             present[i] = true;
         }
-        checkpoint(&result)?;
+        if let Some(checkpoint) = checkpoint.as_mut() {
+            checkpoint(&result)?;
+        }
     }
 
     Ok(CampaignRun {
@@ -765,6 +470,76 @@ pub fn run_campaign_checkpointed(
         executed_evals,
         wall: start.elapsed(),
     })
+}
+
+/// Run a campaign, fanning trials out over the compat-rayon pool.
+pub fn run_campaign(spec: &ExperimentSpec) -> Result<CampaignRun, Error> {
+    run_campaign_at(spec, &Endpoint::InProcess)
+}
+
+/// [`run_campaign`] against an explicit evaluation [`Endpoint`]. The
+/// artifact is byte-identical across endpoints; only where evaluations
+/// execute changes.
+pub fn run_campaign_at(spec: &ExperimentSpec, endpoint: &Endpoint) -> Result<CampaignRun, Error> {
+    execute(
+        spec,
+        &[],
+        PriorMatch::Exact,
+        Execution::Parallel,
+        endpoint,
+        None,
+    )
+}
+
+/// Run a campaign strictly sequentially (the determinism oracle: its
+/// result must be byte-identical to [`run_campaign`]'s).
+pub fn run_campaign_serial(spec: &ExperimentSpec) -> Result<CampaignRun, Error> {
+    execute(
+        spec,
+        &[],
+        PriorMatch::Exact,
+        Execution::Serial,
+        &Endpoint::InProcess,
+        None,
+    )
+}
+
+/// Run a campaign, reusing every trial of `prior` that matches the spec
+/// (same key and derived seed). `prior` may be partial — e.g. an artifact
+/// from an interrupted run — and may even contain no usable trials, in
+/// which case this degenerates to a full run.
+pub fn resume_campaign(
+    spec: &ExperimentSpec,
+    prior: &CampaignResult,
+) -> Result<CampaignRun, Error> {
+    execute(
+        spec,
+        &[prior],
+        PriorMatch::Exact,
+        Execution::Parallel,
+        &Endpoint::InProcess,
+        None,
+    )
+}
+
+/// Merge any number of (typically shard) artifacts into `spec`'s campaign:
+/// every compiled trial found in a prior is reused (first prior wins),
+/// missing trials execute. Merging the complete shards of a spec therefore
+/// reproduces the unsharded artifact byte-for-byte without executing
+/// anything.
+pub fn merge_campaigns(
+    spec: &ExperimentSpec,
+    priors: &[CampaignResult],
+) -> Result<CampaignRun, Error> {
+    let refs: Vec<&CampaignResult> = priors.iter().collect();
+    execute(
+        spec,
+        &refs,
+        PriorMatch::IgnoreShard,
+        Execution::Parallel,
+        &Endpoint::InProcess,
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -854,11 +629,12 @@ mod tests {
         // in the unified hierarchy, not a panic or ad-hoc string.
         let s = spec();
         let err = run_campaign_at(&s, &Endpoint::Tcp("127.0.0.1:1".into())).unwrap_err();
-        match err {
-            HarnessError::Eval(e) => assert!(matches!(e, Error::Transport(_)), "{e:?}"),
-            other => panic!("expected an Eval(transport) error, got {other:?}"),
-        }
-        let core: Error = HarnessError::Trial("unknown tuner".into()).into();
+        assert!(matches!(err, Error::Transport(_)), "{err:?}");
+        // A trial naming an unknown tuner (reachable through resumable
+        // artifacts, past spec validation) is a spec error.
+        let mut ct = s.compile().unwrap().remove(0);
+        ct.key.tuner = "no-such-tuner".into();
+        let core = execute_trial(&ct, &Target::InProcess, 0).unwrap_err();
         assert!(matches!(core, Error::Spec(_)));
     }
 
@@ -908,7 +684,7 @@ mod tests {
         let other = ExperimentSpec { seed: 99, ..spec() };
         assert!(matches!(
             resume_campaign(&other, &full.result),
-            Err(HarnessError::ResumeMismatch(_))
+            Err(Error::Session(_))
         ));
         // Resume is shard-strict: a sharded spec must not resume from (and
         // later overwrite) the unsharded artifact — recombination goes
@@ -919,7 +695,7 @@ mod tests {
         };
         assert!(matches!(
             resume_campaign(&sharded, &full.result),
-            Err(HarnessError::ResumeMismatch(_))
+            Err(Error::Session(_))
         ));
         // Merge accepts the same pairing by design.
         assert!(merge_campaigns(&sharded, std::slice::from_ref(&full.result)).is_ok());
@@ -1039,7 +815,7 @@ mod tests {
         let arch = bat_gpusim::GpuArch::rtx_3090();
         let p = bat_kernels::benchmark("nbody", arch).unwrap();
         let tuner = tuner_by_name("random-search").unwrap();
-        let (run, stats) = run_tuning(&p, tuner.as_ref(), Protocol::default(), 30, 7);
+        let (run, stats) = run_tuning(&p, tuner.as_ref(), Protocol::default(), 30, 7, false);
         let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(30);
         let direct = bat_tuners::RandomSearch.tune(&eval, 7);
         assert_eq!(run, direct);

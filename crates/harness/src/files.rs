@@ -1,9 +1,21 @@
 //! The shared file-level front-end flow: spec in, artifact out.
 //!
-//! Both campaign entry points (`bat-harness run` and `bat campaign`) are
-//! thin shells over these helpers, so resume semantics, checkpointing,
-//! error handling and the post-run report cannot drift between the two
-//! binaries.
+//! The harness has eight campaign/tuning entry points: [`run_campaign`],
+//! [`run_campaign_at`], [`run_campaign_serial`], [`resume_campaign`] and
+//! [`merge_campaigns`] return results in memory, [`run_tuning`] runs one
+//! tuner outside any campaign, and this module's
+//! [`run_spec_to_file_cached`] and [`merge_files`] add the file side:
+//! checkpointed artifacts, metadata documents and the `--cache` store.
+//! Both binaries (`bat-harness run` and its alias `bat campaign`) run
+//! through [`run_spec_to_file_cached`] via the shared `run` parser, so
+//! resume semantics, checkpointing, error handling and the post-run
+//! report cannot drift between them.
+//!
+//! [`run_campaign`]: crate::run_campaign
+//! [`run_campaign_at`]: crate::run_campaign_at
+//! [`run_campaign_serial`]: crate::run_campaign_serial
+//! [`resume_campaign`]: crate::resume_campaign
+//! [`run_tuning`]: crate::run_tuning
 
 use bat_cache::{CacheError, CacheStore};
 use bat_core::t4::{T4Metadata, T4_SCHEMA_VERSION};
@@ -11,18 +23,11 @@ use bat_core::Error;
 
 use crate::cache_integration::{cache_prior, fold_run_into_cache};
 use crate::campaign::{
-    merge_campaigns, run_campaign_at, run_campaign_checkpointed, run_campaign_serial_primed,
-    CampaignRun, Endpoint, HarnessError,
+    execute, merge_campaigns, CampaignRun, Checkpoint, Endpoint, Execution, PriorMatch,
 };
 use crate::result::{CampaignResult, RESULT_SCHEMA};
 use crate::spec::{ExperimentSpec, SPEC_SCHEMA};
 use crate::summary::CampaignSummary;
-
-/// Trials executed between checkpoint writes of the output artifact.
-/// Small enough that an interrupted long campaign loses little work,
-/// large enough that serialization stays a rounding error next to trial
-/// execution.
-const CHECKPOINT_TRIALS: usize = 32;
 
 /// Load and parse a campaign spec file.
 pub fn load_spec_file(path: &str) -> Result<ExperimentSpec, Error> {
@@ -39,27 +44,17 @@ pub fn load_result_file(path: &str) -> Result<CampaignResult, Error> {
 }
 
 /// Execute `spec` and, when `out` is given, write the artifact there —
-/// checkpointed every [`CHECKPOINT_TRIALS`] completed trials, so an
-/// interrupted run leaves a partial artifact that `resume` picks up.
+/// checkpointed every 32 completed trials, so an interrupted run leaves a
+/// partial artifact that `resume` picks up — plus its `<out>.meta.json`
+/// metadata document.
 ///
 /// With `resume`, trials already present in the `out` artifact are reused
 /// (a missing file degenerates to a full run; any other read or parse
 /// failure is an error — silently re-running would overwrite the
-/// artifact). `serial` runs the determinism oracle and is mutually
-/// exclusive with `resume`. `endpoint` selects where trials evaluate
-/// (in-process, loopback, or a `bat serve` daemon); the artifact is
-/// byte-identical across endpoints.
-pub fn run_spec_to_file(
-    spec: &ExperimentSpec,
-    out: Option<&str>,
-    resume: bool,
-    serial: bool,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, Error> {
-    run_spec_to_file_cached(spec, out, resume, serial, endpoint, None)
-}
-
-/// [`run_spec_to_file`] with an optional persistent cache (`--cache`).
+/// artifact). `serial` runs the in-process determinism oracle and is
+/// mutually exclusive with `resume`. `endpoint` selects where trials
+/// evaluate (in-process, loopback, or a `bat serve` daemon); the artifact
+/// is byte-identical across endpoints.
 ///
 /// When `cache` names a `bat/cache/v1` file (missing is fine — it starts
 /// empty), every compiled trial whose exact fingerprint has a stored blob
@@ -99,51 +94,33 @@ pub fn run_spec_to_file_cached(
     } else {
         None
     };
-
     let mut store: Option<CacheStore> = match cache {
         Some(path) => Some(CacheStore::load_or_empty(path).map_err(cache_error)?),
         None => None,
     };
-    let prior = combined_prior(spec, disk_prior, store.as_ref())?;
+    // Disk trials come first, so they win key collisions with the
+    // cache-synthesized prior, matching plain resume.
+    let cached = store.as_ref().and_then(|s| cache_prior(s, spec));
+    let priors: Vec<&CampaignResult> = disk_prior.iter().chain(&cached).collect();
 
-    let run = if serial {
-        // The determinism oracle runs in one shot; its artifact still
-        // lands on disk at the end.
-        let run = run_campaign_serial_primed(spec, prior.as_ref())?;
-        if let Some(path) = out {
-            write_artifact(path, &run.result)?;
-            write_metadata(path, spec)?;
-        }
-        run
+    let execution = if serial {
+        Execution::Serial
     } else {
-        match out {
-            // Without an output file there is nothing to checkpoint into,
-            // but a cache-synthesized prior still short-circuits its hits.
-            None => match prior.as_ref() {
-                None => run_campaign_at(spec, endpoint)?,
-                Some(p) => run_campaign_checkpointed(
-                    spec,
-                    Some(p),
-                    CHECKPOINT_TRIALS,
-                    &mut |_| Ok(()),
-                    endpoint,
-                )?,
-            },
-            Some(path) => {
-                let run = run_campaign_checkpointed(
-                    spec,
-                    prior.as_ref(),
-                    CHECKPOINT_TRIALS,
-                    &mut |partial| {
-                        write_artifact(path, partial).map_err(|e| HarnessError::Io(e.to_string()))
-                    },
-                    endpoint,
-                )?;
-                write_metadata(path, spec)?;
-                run
-            }
-        }
+        Execution::Parallel
     };
+    let mut write = |partial: &CampaignResult| out.map_or(Ok(()), |p| write_artifact(p, partial));
+    let checkpoint = out.is_some().then_some(&mut write as Checkpoint<'_>);
+    let run = execute(
+        spec,
+        &priors,
+        PriorMatch::Exact,
+        execution,
+        endpoint,
+        checkpoint,
+    )?;
+    if let Some(path) = out {
+        write_metadata(path, spec)?;
+    }
 
     if let (Some(path), Some(store)) = (cache, store.as_mut()) {
         let before = store.to_json();
@@ -162,42 +139,6 @@ fn cache_error(e: CacheError) -> Error {
         CacheError::Io(m) => Error::io(m),
         CacheError::Parse(m) => Error::spec(m),
     }
-}
-
-/// Combine the disk resume prior and the cache-synthesized prior into the
-/// single prior the campaign engine accepts (disk trials first — they win
-/// key collisions, matching plain resume). The disk prior is validated
-/// against the spec *here*, exactly as the engine would, because wrapping
-/// its trials in a fresh result replaces the embedded spec and would
-/// otherwise bypass the mismatch check.
-fn combined_prior(
-    spec: &ExperimentSpec,
-    disk: Option<CampaignResult>,
-    store: Option<&CacheStore>,
-) -> Result<Option<CampaignResult>, Error> {
-    if let Some(d) = &disk {
-        if d.schema != RESULT_SCHEMA {
-            return Err(Error::session(format!(
-                "cannot resume: prior result schema {:?} is not {RESULT_SCHEMA:?}",
-                d.schema
-            )));
-        }
-        if d.spec != *spec {
-            return Err(Error::session(
-                "cannot resume: prior result was produced by a different spec",
-            ));
-        }
-    }
-    let cached = store.and_then(|s| cache_prior(s, spec));
-    Ok(match (disk, cached) {
-        (None, None) => None,
-        (Some(d), None) => Some(d),
-        (None, Some(c)) => Some(c),
-        (Some(mut d), Some(c)) => {
-            d.trials.extend(c.trials);
-            Some(d)
-        }
-    })
 }
 
 /// Write a document atomically (temp file + rename) so a crash mid-write
@@ -290,7 +231,7 @@ pub fn report_run(run: &CampaignRun, quiet: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{advance_campaign, run_campaign};
+    use crate::campaign::{run_campaign, CHECKPOINT_TRIALS};
     use crate::spec::Selector;
 
     fn spec() -> ExperimentSpec {
@@ -318,19 +259,29 @@ mod tests {
 
         // Missing artifact + resume degenerates to a full run.
         let first =
-            run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).unwrap();
+            run_spec_to_file_cached(&spec(), Some(&out), true, false, &Endpoint::InProcess, None)
+                .unwrap();
         assert!(first.complete);
         assert_eq!(first.executed, 1);
         // Resuming from the written artifact reuses everything.
         let second =
-            run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).unwrap();
+            run_spec_to_file_cached(&spec(), Some(&out), true, false, &Endpoint::InProcess, None)
+                .unwrap();
         assert_eq!(second.reused, 1);
         assert_eq!(second.result, first.result);
         assert_eq!(load_result_file(&out).unwrap(), first.result);
 
         // A corrupt artifact is an error, not a silent re-run.
         std::fs::write(&out, "{ not json").unwrap();
-        assert!(run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).is_err());
+        assert!(run_spec_to_file_cached(
+            &spec(),
+            Some(&out),
+            true,
+            false,
+            &Endpoint::InProcess,
+            None
+        )
+        .is_err());
         std::fs::remove_file(&out).unwrap();
     }
 
@@ -350,7 +301,8 @@ mod tests {
         assert!(spec.compile().unwrap().len() > CHECKPOINT_TRIALS);
         let out = temp_out("checkpointed.json");
         let batched =
-            run_spec_to_file(&spec, Some(&out), false, false, &Endpoint::InProcess).unwrap();
+            run_spec_to_file_cached(&spec, Some(&out), false, false, &Endpoint::InProcess, None)
+                .unwrap();
         let single = run_campaign(&spec).unwrap();
         assert!(batched.complete);
         assert_eq!(batched.executed, single.result.trials.len());
@@ -365,35 +317,121 @@ mod tests {
             ..spec()
         };
         // Simulate an interrupted checkpoint: only 2 of 6 trials done.
-        let partial = advance_campaign(&spec, None, 2).unwrap();
-        assert!(!partial.complete);
-        assert_eq!(partial.result.trials.len(), 2);
+        let full = run_campaign(&spec).unwrap();
+        let mut partial = full.result.clone();
+        partial.trials.truncate(2);
+        assert!(partial.trials.len() < spec.compile().unwrap().len());
+        assert_eq!(partial.trials.len(), 2);
         let out = temp_out("partial.json");
-        std::fs::write(&out, partial.result.to_json()).unwrap();
+        std::fs::write(&out, partial.to_json()).unwrap();
         let resumed =
-            run_spec_to_file(&spec, Some(&out), true, false, &Endpoint::InProcess).unwrap();
+            run_spec_to_file_cached(&spec, Some(&out), true, false, &Endpoint::InProcess, None)
+                .unwrap();
         assert!(resumed.complete);
         assert_eq!(resumed.reused, 2);
         assert_eq!(resumed.executed, 4);
-        assert_eq!(
-            resumed.result.to_json(),
-            run_campaign(&spec).unwrap().result.to_json()
-        );
+        assert_eq!(resumed.result.to_json(), full.result.to_json());
         std::fs::remove_file(&out).unwrap();
     }
 
     #[test]
+    fn serial_cached_run_to_file_matches_the_parallel_bytes() {
+        // A two-rep cold run seeds the cache, so the four-rep runs below
+        // start from a partial cache prior: half the trials replay, half
+        // execute — serially in one run, in parallel in the other.
+        let seed_spec = ExperimentSpec {
+            repetitions: 2,
+            ..spec()
+        };
+        let spec = ExperimentSpec {
+            repetitions: 4,
+            ..spec()
+        };
+        let (cache_a, cache_b) = (temp_out("prior-a.cache"), temp_out("prior-b.cache"));
+        let seed_out = temp_out("prior-seed.json");
+        let ep = &Endpoint::InProcess;
+        run_spec_to_file_cached(
+            &seed_spec,
+            Some(&seed_out),
+            false,
+            false,
+            ep,
+            Some(&cache_a),
+        )
+        .unwrap();
+        std::fs::copy(&cache_a, &cache_b).unwrap();
+
+        let (serial_out, parallel_out) =
+            (temp_out("prior-serial.json"), temp_out("prior-par.json"));
+        let serial =
+            run_spec_to_file_cached(&spec, Some(&serial_out), false, true, ep, Some(&cache_a))
+                .unwrap();
+        let parallel =
+            run_spec_to_file_cached(&spec, Some(&parallel_out), false, false, ep, Some(&cache_b))
+                .unwrap();
+        assert_eq!((serial.reused, serial.executed), (2, 2));
+        assert_eq!((parallel.reused, parallel.executed), (2, 2));
+        let serial_bytes = std::fs::read(&serial_out).unwrap();
+        assert_eq!(serial_bytes, std::fs::read(&parallel_out).unwrap());
+        assert_eq!(
+            serial_bytes,
+            run_campaign(&spec).unwrap().result.to_json().into_bytes()
+        );
+        assert_eq!(
+            std::fs::read(metadata_path(&serial_out)).unwrap(),
+            std::fs::read(metadata_path(&parallel_out)).unwrap()
+        );
+        assert_eq!(
+            std::fs::read(&cache_a).unwrap(),
+            std::fs::read(&cache_b).unwrap()
+        );
+        for p in [&seed_out, &serial_out, &parallel_out] {
+            std::fs::remove_file(p).unwrap();
+            std::fs::remove_file(metadata_path(p)).unwrap();
+        }
+        std::fs::remove_file(&cache_a).unwrap();
+        std::fs::remove_file(&cache_b).unwrap();
+    }
+
+    #[test]
     fn flag_combinations_are_validated() {
-        assert!(run_spec_to_file(&spec(), Some("x"), true, true, &Endpoint::InProcess).is_err());
-        assert!(run_spec_to_file(&spec(), None, true, false, &Endpoint::InProcess).is_err());
+        assert!(run_spec_to_file_cached(
+            &spec(),
+            Some("x"),
+            true,
+            true,
+            &Endpoint::InProcess,
+            None
+        )
+        .is_err());
+        assert!(
+            run_spec_to_file_cached(&spec(), None, true, false, &Endpoint::InProcess, None)
+                .is_err()
+        );
     }
 
     #[test]
     fn metadata_document_is_emitted_and_deterministic() {
         let out = temp_out("with-meta.json");
-        run_spec_to_file(&spec(), Some(&out), false, false, &Endpoint::InProcess).unwrap();
+        run_spec_to_file_cached(
+            &spec(),
+            Some(&out),
+            false,
+            false,
+            &Endpoint::InProcess,
+            None,
+        )
+        .unwrap();
         let meta1 = std::fs::read_to_string(metadata_path(&out)).unwrap();
-        run_spec_to_file(&spec(), Some(&out), false, false, &Endpoint::InProcess).unwrap();
+        run_spec_to_file_cached(
+            &spec(),
+            Some(&out),
+            false,
+            false,
+            &Endpoint::InProcess,
+            None,
+        )
+        .unwrap();
         let meta2 = std::fs::read_to_string(metadata_path(&out)).unwrap();
         assert_eq!(meta1, meta2, "metadata must be byte-deterministic");
         let md = bat_core::t4::T4Metadata::from_json(&meta1).unwrap();
@@ -420,7 +458,15 @@ mod tests {
                 ..base.clone()
             };
             let out = temp_out(&format!("shard-{index}.json"));
-            run_spec_to_file(&shard_spec, Some(&out), false, false, &Endpoint::InProcess).unwrap();
+            run_spec_to_file_cached(
+                &shard_spec,
+                Some(&out),
+                false,
+                false,
+                &Endpoint::InProcess,
+                None,
+            )
+            .unwrap();
             inputs.push(out);
         }
         let merged_out = temp_out("merged.json");

@@ -15,6 +15,21 @@
 //! best, convergence AUC, Friedman-style rank matrix) without any
 //! re-execution.
 //!
+//! Eight entry points run campaigns and tunings, each a thin
+//! configuration of one private engine (one trial loop, one trial
+//! recorder); every failure is a [`bat_core::Error`]:
+//!
+//! * [`run_campaign`], [`run_campaign_at`] (explicit [`Endpoint`]) and
+//!   [`run_campaign_serial`] (the single-threaded determinism oracle);
+//! * [`resume_campaign`] (reuse a prior artifact's trials) and
+//!   [`merge_campaigns`] (recombine shard artifacts);
+//! * [`run_spec_to_file_cached`] and [`merge_files`], the file-level
+//!   flow with checkpointed artifacts, metadata and the `--cache` store;
+//! * [`run_tuning`], one tuner on one problem outside any campaign.
+//!
+//! The `run` command line of both binaries (`bat-harness run`,
+//! `bat campaign`) is parsed once, by [`run_command`].
+//!
 //! ```
 //! use bat_harness::{run_campaign, ExperimentSpec, Selector};
 //!
@@ -36,6 +51,7 @@
 
 mod cache_integration;
 mod campaign;
+mod cli;
 mod files;
 mod result;
 mod spec;
@@ -43,14 +59,13 @@ pub mod summary;
 
 pub use cache_integration::{cache_prior, fold_run_into_cache, scenario_of, trial_fingerprint};
 pub use campaign::{
-    advance_campaign, merge_campaigns, resume_campaign, run_campaign, run_campaign_at,
-    run_campaign_checkpointed, run_campaign_serial, run_campaign_serial_primed, run_tuning,
-    run_tuning_with_energy, run_tuning_with_faults, tuner_by_name, CampaignRun, Endpoint,
-    EvalStats, HarnessError,
+    merge_campaigns, resume_campaign, run_campaign, run_campaign_at, run_campaign_serial,
+    run_tuning, tuner_by_name, CampaignRun, Endpoint, EvalStats,
 };
+pub use cli::{run_command, set_threads};
 pub use files::{
     campaign_metadata, load_result_file, load_spec_file, merge_files, metadata_path, report_run,
-    run_spec_to_file, run_spec_to_file_cached,
+    run_spec_to_file_cached,
 };
 pub use result::{CampaignResult, CurvePoint, TrialRecord, RESULT_SCHEMA};
 pub use spec::{

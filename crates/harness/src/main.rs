@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use bat_harness::{
     convergence_auc, load_result_file, load_spec_file, merge_files, render_table, report_run,
-    run_campaign, run_spec_to_file_cached, CampaignSummary, Endpoint, ExperimentSpec, ShardSpec,
+    run_campaign, run_command, set_threads, CampaignSummary, ExperimentSpec,
 };
 
 const HELP: &str = "\
@@ -26,7 +26,9 @@ USAGE:
 COMMANDS:
     run        execute a campaign spec; writes the CampaignResult JSON to
                --out (or stdout, plus a <out>.meta.json T4 metadata
-               document) and prints the summary tables
+               document) and prints the summary tables. `bat campaign` is
+               the same command with the same flags; unknown flags and
+               flags missing their value are errors
     merge      merge shard artifacts into the complete campaign artifact
                (missing trials execute); byte-identical to the unsharded run
     summary    print the summary tables of an existing result artifact
@@ -87,97 +89,6 @@ fn load_spec(args: &[String]) -> Result<ExperimentSpec, String> {
     load_spec_file(&path).map_err(|e| e.to_string())
 }
 
-/// Parse an `I/N` shard selector.
-fn parse_shard(s: &str) -> Result<ShardSpec, String> {
-    let (index, count) = s
-        .split_once('/')
-        .ok_or_else(|| format!("--shard expects I/N, got {s:?}"))?;
-    let index = index
-        .parse()
-        .map_err(|_| format!("bad shard index {index:?}"))?;
-    let count = count
-        .parse()
-        .map_err(|_| format!("bad shard count {count:?}"))?;
-    Ok(ShardSpec { index, count })
-}
-
-/// Apply a `--threads N` option, if present, before any parallel work runs.
-fn apply_threads(args: &[String]) -> Result<(), String> {
-    if let Some(threads) = opt(args, "--threads") {
-        let n: usize = threads
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--threads expects a positive integer, got {threads:?}"))?;
-        if !rayon::set_global_threads(n) {
-            return Err("--threads came too late: the worker pool already started".into());
-        }
-    }
-    Ok(())
-}
-
-/// Apply a `--trace FILE` option: install the process-wide trace sink
-/// before any spans open. Telemetry only — never touches the artifact.
-fn apply_trace(args: &[String]) -> Result<(), String> {
-    if let Some(path) = opt(args, "--trace") {
-        bat_obs::trace::install(std::path::Path::new(&path))
-            .map_err(|e| format!("--trace {path}: {e}"))?;
-    }
-    Ok(())
-}
-
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    apply_threads(args)?;
-    apply_trace(args)?;
-    let mut spec = load_spec(args)?;
-    if let Some(shard) = opt(args, "--shard") {
-        spec.shard = Some(parse_shard(&shard)?);
-    }
-    if let Some(batch) = opt(args, "--batch") {
-        let batch: u32 = batch
-            .parse()
-            .map_err(|_| format!("bad --batch value {batch:?}"))?;
-        spec.protocol.set_batch(batch);
-    }
-    if let Some(rate) = opt(args, "--fault-rate") {
-        let rate: f64 = rate
-            .parse()
-            .map_err(|_| format!("bad --fault-rate value {rate:?}"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--fault-rate must be in [0, 1], got {rate}"));
-        }
-        spec.set_fault_rate(rate);
-    }
-    let out = opt(args, "--out");
-    let quiet = flag(args, "--quiet");
-    let endpoint = match opt(args, "--connect") {
-        Some(ep) => Endpoint::parse(&ep).map_err(|e| e.to_string())?,
-        None => Endpoint::InProcess,
-    };
-
-    let cache = opt(args, "--cache");
-
-    let run = run_spec_to_file_cached(
-        &spec,
-        out.as_deref(),
-        flag(args, "--resume"),
-        flag(args, "--serial"),
-        &endpoint,
-        cache.as_deref(),
-    )
-    .map_err(|e| e.to_string())?;
-    if out.is_none() {
-        println!("{}", run.result.to_json());
-    }
-
-    let failed = report_run(&run, quiet);
-    bat_obs::trace::flush();
-    if failed > 0 && flag(args, "--strict") {
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     let spec = load_spec(args)?;
     let inputs: Vec<String> = opt(args, "--inputs")
@@ -204,7 +115,9 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 /// staler search state for batched measurement, and this table is how that
 /// trade is audited.
 fn cmd_sweep_batch(args: &[String]) -> Result<ExitCode, String> {
-    apply_threads(args)?;
+    if let Some(threads) = opt(args, "--threads") {
+        set_threads(&threads).map_err(|e| e.to_string())?;
+    }
     let base = load_spec(args)?;
     let batches: Vec<u32> = opt(args, "--batches")
         .unwrap_or_else(|| "1,4,16,64".into())
@@ -331,7 +244,7 @@ fn cmd_trials(args: &[String]) -> Result<ExitCode, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
+        Some("run") => run_command(&args[1..]).map_err(|e| e.to_string()),
         Some("merge") => cmd_merge(&args[1..]),
         Some("summary") => cmd_summary(&args[1..]),
         Some("sweep-batch") => cmd_sweep_batch(&args[1..]),

@@ -102,7 +102,13 @@ fn smoke_spec_artifacts_match_committed_digests() {
     }
     let mut batched = spec("ci-smoke");
     batched.protocol.set_batch(8);
-    let got = run_leg(&dir, "ci-smoke-batch-8", &batched, &Endpoint::InProcess, None);
+    let got = run_leg(
+        &dir,
+        "ci-smoke-batch-8",
+        &batched,
+        &Endpoint::InProcess,
+        None,
+    );
     assert_leg("ci-smoke-batch-8", got);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -122,14 +128,24 @@ fn cached_cold_and_warm_runs_match_committed_digests() {
 
     let warm = run_leg(&dir, "warm", &spec, &Endpoint::InProcess, Some(cache));
     assert_eq!(warm, cold, "the warm artifact must equal the cold one");
-    assert_eq!(digest_of(cache), cache_digest, "a warm run rewrote the cache");
+    assert_eq!(
+        digest_of(cache),
+        cache_digest,
+        "a warm run rewrote the cache"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn loopback_artifact_matches_the_in_process_digest() {
     let dir = scratch("loopback");
-    let got = run_leg(&dir, "loopback", &spec("ci-smoke"), &Endpoint::Loopback, None);
+    let got = run_leg(
+        &dir,
+        "loopback",
+        &spec("ci-smoke"),
+        &Endpoint::Loopback,
+        None,
+    );
     assert_leg("ci-smoke", got);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -196,12 +196,13 @@ fn nsga2_front_on_gemm_is_deterministic() {
     let problem = bat::kernels::benchmark("gemm", GpuArch::rtx_3090()).unwrap();
     let fronts: Vec<Vec<bat::moo::ParetoPoint>> = (0..2)
         .map(|_| {
-            let (run, _) = bat::harness::run_tuning_with_energy(
+            let (run, _) = bat::harness::run_tuning(
                 &problem,
                 tuner.as_ref(),
                 Protocol::default(),
                 150,
                 7,
+                true,
             );
             bat::moo::front_of_run(&run, 16).front().to_vec()
         })
