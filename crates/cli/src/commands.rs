@@ -884,56 +884,59 @@ pub fn cmd_pareto(opts: &Opts) {
 
 /// `bat serve` — host tuning sessions as a long-running daemon. Clients
 /// (`bat campaign --connect HOST:PORT`, `bat-harness run --connect ...`,
-/// or any `bat/wire/v1` speaker) open sessions, stream evaluation batches
-/// and read budget/statistics accounting; the daemon schedules batches
-/// fairly across sessions and bounds each session's in-flight work.
-/// Serves until a client sends a `shutdown` request.
-pub fn cmd_serve(opts: &Opts) -> Result<(), Error> {
-    if let Some(threads) = opts.get("--threads") {
-        bat_harness::set_threads(&threads)?;
-    }
-    let addr = opts
-        .get("--addr")
-        .unwrap_or_else(|| "127.0.0.1:4780".into());
-    let mut config = bat_server::ServerConfig::default();
-    if let Some(slots) = opts.get("--slots") {
-        config.max_concurrent_batches =
-            slots
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n >= 1)
-                .ok_or_else(|| {
-                    Error::spec(format!("--slots expects a positive integer, got {slots:?}"))
-                })?;
-    }
-    if let Some(inflight) = opts.get("--inflight") {
-        config.max_inflight_per_session = inflight
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| {
-                Error::spec(format!(
-                    "--inflight expects a positive integer, got {inflight:?}"
-                ))
-            })?;
-    }
-    config.heartbeat_secs = match opts.get("--heartbeat") {
-        Some(secs) => secs.parse().map_err(|_| {
-            Error::spec(format!(
-                "--heartbeat expects seconds (0 disables), got {secs:?}"
-            ))
-        })?,
-        None => 10,
+/// or any `bat/wire/v1` speaker) open one session per connection, stream
+/// evaluation batches and read budget/statistics accounting; the daemon
+/// serves each connection on its own thread and schedules batches fairly
+/// across sessions. Unknown flags, stray arguments and flags missing their
+/// value are [`Error::Spec`]. Serves until a client sends a `shutdown`
+/// request.
+pub fn cmd_serve(args: &[String]) -> Result<(), Error> {
+    let mut addr = "127.0.0.1:4780";
+    let (mut threads, mut metrics, mut cache) = (None, None, None);
+    let mut config = bat_server::ServerConfig {
+        heartbeat_secs: 10,
+        ..Default::default()
     };
-    let listener = std::net::TcpListener::bind(&addr)
+    let mut flags = bat_harness::Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--addr" => addr = flags.value(flag)?,
+            "--threads" => threads = Some(flags.value(flag)?),
+            "--metrics" => metrics = Some(flags.value(flag)?),
+            "--cache" => cache = Some(flags.value(flag)?),
+            "--slots" => {
+                let slots = flags.value(flag)?;
+                config.max_concurrent_batches = slots
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n >= 1)
+                    .ok_or_else(|| {
+                        Error::spec(format!("--slots expects a positive integer, got {slots:?}"))
+                    })?;
+            }
+            "--heartbeat" => {
+                let secs = flags.value(flag)?;
+                config.heartbeat_secs = secs.parse().map_err(|_| {
+                    Error::spec(format!(
+                        "--heartbeat expects seconds (0 disables), got {secs:?}"
+                    ))
+                })?;
+            }
+            other => return Err(Error::spec(format!("unknown serve flag {other:?}"))),
+        }
+    }
+    if let Some(threads) = threads {
+        bat_harness::set_threads(threads)?;
+    }
+    let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| Error::transport(format!("bind {addr}: {e}")))?;
     let local = listener.local_addr().map_err(Error::io)?;
     // Announce readiness on stdout (flushed) so scripts can wait for it.
     println!("bat serve: listening on {local}");
     // `--metrics ADDR` exposes the process-wide registry as Prometheus
     // text exposition over plain HTTP, scrapeable while campaigns run.
-    if let Some(maddr) = opts.get("--metrics") {
-        let mlistener = std::net::TcpListener::bind(&maddr)
+    if let Some(maddr) = metrics {
+        let mlistener = std::net::TcpListener::bind(maddr)
             .map_err(|e| Error::transport(format!("bind metrics {maddr}: {e}")))?;
         let mlocal = mlistener.local_addr().map_err(Error::io)?;
         println!("bat serve: metrics on http://{mlocal}/metrics");
@@ -942,9 +945,9 @@ pub fn cmd_serve(opts: &Opts) -> Result<(), Error> {
     // `--cache FILE` loads a shipped `bat/cache/v1` artifact into the
     // lock-free index; the daemon then answers wire-level `cache_lookup`
     // requests from it.
-    let cache = match opts.get("--cache") {
+    let cache = match cache {
         Some(path) => {
-            let store = bat_cache::CacheStore::load(&path).map_err(cache_error)?;
+            let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
             println!("bat serve: cache {path} loaded ({})", store.summary());
             Some(std::sync::Arc::new(bat_cache::CacheIndex::build(&store)))
         }
@@ -1147,4 +1150,38 @@ fn sparkline(counts: &[u64]) -> String {
             LEVELS[((v * 7.0).round() as usize).min(7)]
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `bat serve` with `args`. Each case pins `--addr` to an address that
+    /// fails to parse, so a flag wrongly accepted surfaces as a transport
+    /// error instead of a daemon that never returns.
+    fn serve(args: &[&str]) -> Result<(), Error> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        cmd_serve(&args)
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        let err = serve(&["--addr", "127.0.0.1:99999", "--inflight", "2"]);
+        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--inflight")));
+    }
+
+    #[test]
+    fn serve_rejects_stray_arguments() {
+        let err = serve(&["--addr", "127.0.0.1:99999", "stray"]);
+        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("stray")));
+    }
+
+    #[test]
+    fn serve_rejects_flags_missing_their_value() {
+        let err = serve(&["--addr", "127.0.0.1:99999", "--slots"]);
+        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--slots")));
+        // Nor may the next flag stand in for the value.
+        let err = serve(&["--addr", "--slots", "2"]);
+        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--addr")));
+    }
 }

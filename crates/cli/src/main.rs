@@ -40,10 +40,10 @@ SUITE COMMANDS:
                          A,B,... --out FILE (order-independent, byte-stable),
                          evict --input FILE --out FILE (drop replay blobs,
                          keep the compact shippable cells)
-    serve                host tuning sessions as a daemon (--addr HOST:PORT,
-                         --slots N concurrent batches, --inflight N queued
-                         batches per session, --threads N, --metrics ADDR
-                         serves Prometheus text exposition over HTTP,
+    serve                host tuning sessions as a daemon, one session per
+                         connection (--addr HOST:PORT, --slots N concurrent
+                         batches, --threads N, --metrics ADDR serves
+                         Prometheus text exposition over HTTP,
                          --heartbeat N prints a status line every N seconds,
                          0 disables, default 10, --cache FILE loads a
                          bat/cache/v1 store and answers wire cache_lookup
@@ -104,7 +104,7 @@ fn main() -> ExitCode {
             Ok(code) => return code,
             Err(e) => fail_on_error(Err(e)),
         },
-        "serve" => fail_on_error(commands::cmd_serve(&opts)),
+        "serve" => fail_on_error(commands::cmd_serve(&args[1..])),
         "cache" => fail_on_error(commands::cmd_cache(&opts)),
         "compare" => commands::cmd_compare(&opts),
         "ranks" => commands::cmd_ranks(&opts),

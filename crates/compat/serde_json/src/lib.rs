@@ -44,6 +44,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -165,9 +166,16 @@ fn write_value_compact(v: &Value, out: &mut String) {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so the limit keeps hostile input (a frame of `[`s) a
+/// typed error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -228,11 +236,23 @@ impl Parser<'_> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(&b) => Err(self.err(&format!("unexpected character {:?}", b as char))),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -417,5 +437,15 @@ mod tests {
         assert!(from_str::<i64>("12 34").is_err());
         assert!(from_str::<Vec<i64>>("[1,").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // A hostile 400 KB run of `[` is a clean error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(400_000)).is_err());
     }
 }

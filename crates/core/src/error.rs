@@ -32,7 +32,8 @@ pub enum Error {
     /// message: bad JSON, unknown fields, version or tag mismatch.
     Wire(String),
     /// A session-level protocol violation: unknown session id, a request
-    /// for a closed session, or backpressure (too many in-flight batches).
+    /// for a closed session, or a second `open` on a connection that
+    /// already holds a live session.
     Session(String),
     /// An invalid specification or configuration: unknown benchmark or
     /// tuner, bad builder inputs, malformed CLI arguments.

@@ -34,28 +34,21 @@ struct RunArgs {
 impl RunArgs {
     fn parse(args: &[String]) -> Result<RunArgs, Error> {
         let mut parsed = RunArgs::default();
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            // A value may not itself look like a flag: `--out --quiet`
-            // is a missing `--out` value, not a file named `--quiet`.
-            let mut value = || {
-                args.next()
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or_else(|| Error::spec(format!("{flag} expects a value")))
-            };
-            match flag.as_str() {
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
                 "--resume" => parsed.resume = true,
                 "--serial" => parsed.serial = true,
                 "--strict" => parsed.strict = true,
                 "--quiet" => parsed.quiet = true,
-                "--spec" => parsed.spec = Some(value()?.clone()),
-                "--out" => parsed.out = Some(value()?.clone()),
-                "--trace" => parsed.trace = Some(value()?.clone()),
-                "--cache" => parsed.cache = Some(value()?.clone()),
-                "--connect" => parsed.endpoint = Endpoint::parse(value()?)?,
-                "--shard" => parsed.shard = Some(parse_shard(value()?)?),
+                "--spec" => parsed.spec = Some(flags.value(flag)?.into()),
+                "--out" => parsed.out = Some(flags.value(flag)?.into()),
+                "--trace" => parsed.trace = Some(flags.value(flag)?.into()),
+                "--cache" => parsed.cache = Some(flags.value(flag)?.into()),
+                "--connect" => parsed.endpoint = Endpoint::parse(flags.value(flag)?)?,
+                "--shard" => parsed.shard = Some(parse_shard(flags.value(flag)?)?),
                 "--batch" => {
-                    let batch = value()?;
+                    let batch = flags.value(flag)?;
                     parsed.batch = Some(
                         batch
                             .parse()
@@ -63,7 +56,7 @@ impl RunArgs {
                     );
                 }
                 "--fault-rate" => {
-                    let rate = value()?;
+                    let rate = flags.value(flag)?;
                     parsed.fault_rate = Some(
                         rate.parse()
                             .ok()
@@ -73,11 +66,39 @@ impl RunArgs {
                             })?,
                     );
                 }
-                "--threads" => parsed.threads = Some(value()?.clone()),
+                "--threads" => parsed.threads = Some(flags.value(flag)?.into()),
                 other => return Err(Error::spec(format!("unknown run flag {other:?}"))),
             }
         }
         Ok(parsed)
+    }
+}
+
+/// A strict walk over `--flag [value]` arguments, shared by `run` and
+/// `bat serve`: the caller matches each flag, takes its value with
+/// [`Flags::value`], and reports any flag it does not know as an error.
+pub struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// Walk `args` from the first.
+    pub fn new(args: &'a [String]) -> Flags<'a> {
+        Flags(args.iter())
+    }
+
+    /// The next flag (or stray argument), `None` at the end.
+    pub fn next_flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value of `flag`. A value may not itself look like a flag:
+    /// `--out --quiet` is a missing `--out` value, not a file named
+    /// `--quiet`.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, Error> {
+        self.0
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .map(String::as_str)
+            .ok_or_else(|| Error::spec(format!("{flag} expects a value")))
     }
 }
 

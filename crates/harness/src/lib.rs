@@ -28,7 +28,8 @@
 //! * [`run_tuning`], one tuner on one problem outside any campaign.
 //!
 //! The `run` command line of both binaries (`bat-harness run`,
-//! `bat campaign`) is parsed once, by [`run_command`].
+//! `bat campaign`) is parsed once, by [`run_command`]; its strict flag
+//! walk, [`Flags`], parses `bat serve` too.
 //!
 //! ```
 //! use bat_harness::{run_campaign, ExperimentSpec, Selector};
@@ -62,7 +63,7 @@ pub use campaign::{
     merge_campaigns, resume_campaign, run_campaign, run_campaign_at, run_campaign_serial,
     run_tuning, tuner_by_name, CampaignRun, Endpoint, EvalStats,
 };
-pub use cli::{run_command, set_threads};
+pub use cli::{run_command, set_threads, Flags};
 pub use files::{
     campaign_metadata, load_result_file, load_spec_file, merge_files, metadata_path, report_run,
     run_spec_to_file_cached,

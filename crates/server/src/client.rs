@@ -14,7 +14,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use bat_core::{Error, EvalBackend, EvalOutcome, Protocol};
-use bat_gpusim::GpuArch;
 use bat_space::ConfigSpace;
 
 use crate::codec;
@@ -23,10 +22,9 @@ use crate::wire::{CloseSession, EvalBatch, OpenSession, Request, Response, Sessi
 /// One open tuning session over a wire connection (loopback or TCP).
 ///
 /// The backend is strictly request/response: each `evaluate_batch` sends
-/// one `eval` frame and blocks for its answer. Concurrency across sessions
-/// comes from opening more connections (the daemon schedules them fairly);
-/// the per-session in-flight bound exists for clients that pipeline by
-/// hand on a raw connection.
+/// one `eval` frame and blocks for its answer. A connection holds one
+/// session, served on its own daemon thread; concurrency across sessions
+/// comes from opening more connections, which the daemon schedules fairly.
 pub struct RemoteBackend<S: Read + Write> {
     conn: RefCell<S>,
     session: u64,
@@ -58,12 +56,7 @@ impl<S: Read + Write> RemoteBackend<S> {
     /// and platform come back from the daemon, so scalarized sessions
     /// report their blended names exactly as in-process runs do.
     pub fn open(conn: S, open: OpenSession) -> Result<Self, Error> {
-        let arch = GpuArch::by_name(&open.architecture).ok_or_else(|| {
-            Error::spec(format!("unknown GPU architecture {:?}", open.architecture))
-        })?;
-        let base = bat_kernels::benchmark(&open.benchmark, arch)
-            .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", open.benchmark)))?;
-        let space = bat_core::TuningProblem::space(&base).clone();
+        let space = bat_core::TuningProblem::space(&open.problem()?).clone();
         let protocol = open.protocol();
         let mut conn = conn;
         codec::write_request(&mut conn, Request::Open(open))?;

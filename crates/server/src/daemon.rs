@@ -5,50 +5,44 @@
 //! A [`Daemon`] owns the process-wide evaluation resources: the fair
 //! scheduler gating the measurement worker pool, the session id source and
 //! the shutdown flag. Connections arrive either over TCP ([`Daemon::serve`])
-//! or in-process over the loopback transport ([`Daemon::connect_loopback`]);
-//! each connection gets a reader thread, and each session opened on a
-//! connection gets a dedicated worker thread that owns that session's
-//! problem and [`Evaluator`].
+//! or in-process over the loopback transport ([`Daemon::connect_loopback`]).
+//! Each connection gets one thread, which reads a request, answers it and
+//! reads the next; the session opened on the connection — its problem and
+//! [`Evaluator`] — lives on that same thread.
 //!
 //! ## Session model
 //!
-//! Sessions are connection-scoped: `open` allocates a daemon-unique id,
-//! `eval` requests are forwarded to the session's worker over a *bounded*
-//! queue, `close` returns the final statistics. When a connection drops,
-//! its sessions are torn down with it — resumability lives a layer up, in
-//! the campaign checkpoint artifacts, which a reconnecting client replays
-//! to skip already-completed trials.
+//! A connection holds at most one session at a time: `open` allocates a
+//! daemon-unique id, `eval` batches are evaluated in arrival order on the
+//! connection thread, and `close` returns the final statistics, after which
+//! the connection may open a new session. A second `open` while a session
+//! is live is refused with a `session` error. When a connection drops, its
+//! session is torn down with it — resumability lives a layer up, in the
+//! campaign checkpoint artifacts, which a reconnecting client replays to
+//! skip already-completed trials.
 //!
-//! ## Backpressure and fairness
+//! ## Fairness
 //!
-//! Two mechanisms keep one client from monopolizing the daemon:
-//!
-//! * **per-session in-flight bound** — each session buffers at most
-//!   [`ServerConfig::max_inflight_per_session`] unprocessed batches;
-//!   further `eval` requests are refused with a `session` error instead of
-//!   queueing without limit.
-//! * **fair scheduling** — at most
-//!   [`ServerConfig::max_concurrent_batches`] batches evaluate at once,
-//!   granted in round-robin arrival order across sessions
-//!   (see [`FairScheduler`]).
+//! At most [`ServerConfig::max_concurrent_batches`] batches evaluate at
+//! once, granted in round-robin arrival order across sessions (see
+//! [`FairScheduler`]). The daemon keeps no request queue of its own: a
+//! client that pipelines batches without reading the answers stalls only
+//! its own connection, bounded by the transport's flow control.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bat_cache::CacheIndex;
 use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
-use bat_gpusim::GpuArch;
 
 use crate::codec;
 use crate::duplex::{duplex, DuplexStream};
 use crate::scheduler::FairScheduler;
 use crate::wire::{
     CacheResult, Closed, ErrorResponse, EvalBatch, Evaluated, OpenSession, Opened, Request,
-    Response, SessionStats,
+    Response,
 };
 
 /// Tunable limits of one daemon.
@@ -57,12 +51,9 @@ pub struct ServerConfig {
     /// Batches evaluating concurrently across all sessions (fair
     /// round-robin beyond that).
     pub max_concurrent_batches: usize,
-    /// Unprocessed batches one session may buffer before further `eval`
-    /// requests are refused (backpressure).
-    pub max_inflight_per_session: usize,
-    /// Seconds between heartbeat lines on stderr (sessions open, evals/s,
-    /// backpressure since the last beat). `0` disables the heartbeat —
-    /// the default, so embedded daemons (tests, loopback) stay silent.
+    /// Seconds between heartbeat lines on stderr (sessions open, evals/s
+    /// since the last beat). `0` disables the heartbeat — the default, so
+    /// embedded daemons (tests, loopback) stay silent.
     pub heartbeat_secs: u64,
 }
 
@@ -70,20 +61,17 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_concurrent_batches: 4,
-            max_inflight_per_session: 2,
             heartbeat_secs: 0,
         }
     }
 }
 
-/// Observability handles for the daemon. Telemetry only — refusal and
-/// scheduling behaviour are driven by the config, never by these.
+/// Observability handles for the daemon. Telemetry only — scheduling
+/// behaviour is driven by the config, never by these.
 struct ServeMetrics {
     sessions_open: &'static bat_obs::metrics::Gauge,
     sessions_total: &'static bat_obs::metrics::Counter,
     requests: &'static bat_obs::metrics::Counter,
-    backpressure: &'static bat_obs::metrics::Counter,
-    inflight: &'static bat_obs::metrics::Gauge,
 }
 
 fn obs() -> &'static ServeMetrics {
@@ -93,14 +81,6 @@ fn obs() -> &'static ServeMetrics {
         sessions_open: gauge("bat_serve_sessions_open", "Sessions currently open."),
         sessions_total: counter("bat_serve_sessions_total", "Sessions opened since start."),
         requests: counter("bat_serve_requests_total", "Wire requests decoded."),
-        backpressure: counter(
-            "bat_serve_backpressure_total",
-            "Eval requests refused because a session's in-flight bound was full.",
-        ),
-        inflight: gauge(
-            "bat_serve_inflight",
-            "Eval batches accepted but not yet picked up by a session worker.",
-        ),
     })
 }
 
@@ -117,7 +97,6 @@ struct Shared {
 
 /// A tuning daemon hosting concurrent evaluation sessions.
 pub struct Daemon {
-    config: ServerConfig,
     shared: Arc<Shared>,
 }
 
@@ -138,7 +117,6 @@ impl Daemon {
 
     fn build(config: ServerConfig, cache: Option<Arc<CacheIndex>>) -> Daemon {
         let daemon = Daemon {
-            config,
             shared: Arc::new(Shared {
                 scheduler: FairScheduler::new(config.max_concurrent_batches),
                 next_session: AtomicU64::new(0),
@@ -160,17 +138,13 @@ impl Daemon {
     }
 
     /// Open an in-process (loopback) connection to this daemon: the
-    /// returned stream speaks the real `bat/wire/v1` codec to a handler
+    /// returned stream speaks the real `bat/wire/v1` codec to a connection
     /// thread, exercising every serialization boundary of the remote path
     /// without a socket.
     pub fn connect_loopback(&self) -> DuplexStream {
-        let (client, server) = duplex();
+        let (client, mut server) = duplex();
         let shared = Arc::clone(&self.shared);
-        let config = self.config;
-        let reader = server.clone();
-        std::thread::spawn(move || {
-            handle_connection(shared, config, reader, Arc::new(Mutex::new(server)));
-        });
+        std::thread::spawn(move || serve_connection(&shared, &mut server, None));
         client
     }
 
@@ -182,14 +156,10 @@ impl Daemon {
                 return Ok(());
             }
             match listener.accept() {
-                Ok((stream, _peer)) => {
+                Ok((mut stream, _peer)) => {
                     stream.set_nonblocking(false).map_err(Error::io)?;
-                    let reader = stream.try_clone().map_err(Error::io)?;
                     let shared = Arc::clone(&self.shared);
-                    let config = self.config;
-                    std::thread::spawn(move || {
-                        handle_connection(shared, config, reader, Arc::new(Mutex::new(stream)));
-                    });
+                    std::thread::spawn(move || serve_connection(&shared, &mut stream, None));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -200,30 +170,19 @@ impl Daemon {
     }
 }
 
-/// Commands a connection reader forwards to a session worker.
-enum SessionCmd {
-    Eval(Vec<u64>),
-    Close,
-}
-
 /// One heartbeat line from the current registry readings and the previous
-/// beat's totals. Factored out of the thread so the format is testable.
-fn heartbeat_line(prev_evals: u64, prev_bp: u64, secs: f64) -> (String, u64, u64) {
+/// beat's evaluation total. Factored out of the thread so the format is
+/// testable.
+fn heartbeat_line(prev_evals: u64, secs: f64) -> (String, u64) {
     let sessions = bat_obs::metrics::gauge_value("bat_serve_sessions_open").unwrap_or(0);
     let evals = bat_obs::metrics::counter_value("bat_eval_evals_total").unwrap_or(0);
-    let bp = bat_obs::metrics::counter_value("bat_serve_backpressure_total").unwrap_or(0);
     let rate = if secs > 0.0 {
         (evals.saturating_sub(prev_evals)) as f64 / secs
     } else {
         0.0
     };
-    let line = format!(
-        "bat serve: heartbeat sessions={} evals/s={:.1} backpressure=+{}",
-        sessions,
-        rate,
-        bp.saturating_sub(prev_bp)
-    );
-    (line, evals, bp)
+    let line = format!("bat serve: heartbeat sessions={sessions} evals/s={rate:.1}");
+    (line, evals)
 }
 
 /// Heartbeat thread body: one line per period on stderr, exiting when the
@@ -232,7 +191,6 @@ fn heartbeat_line(prev_evals: u64, prev_bp: u64, secs: f64) -> (String, u64, u64
 fn heartbeat_loop(shared: std::sync::Weak<Shared>, period: std::time::Duration) {
     let step = std::time::Duration::from_millis(200);
     let mut prev_evals = bat_obs::metrics::counter_value("bat_eval_evals_total").unwrap_or(0);
-    let mut prev_bp = 0u64;
     loop {
         let beat_started = std::time::Instant::now();
         while beat_started.elapsed() < period {
@@ -243,55 +201,50 @@ fn heartbeat_loop(shared: std::sync::Weak<Shared>, period: std::time::Duration) 
                 Some(_) => {}
             }
         }
-        let (line, evals, bp) =
-            heartbeat_line(prev_evals, prev_bp, beat_started.elapsed().as_secs_f64());
+        let (line, evals) = heartbeat_line(prev_evals, beat_started.elapsed().as_secs_f64());
         eprintln!("{line}");
         prev_evals = evals;
-        prev_bp = bp;
     }
 }
 
-/// Serialize one response onto the connection's shared writer. Write
-/// failures mean the client hung up; the reader thread will notice on its
-/// next read, so they are ignored here.
-fn respond<W: Write>(writer: &Mutex<W>, resp: Response) {
-    let mut w = writer.lock().expect("connection writer poisoned");
-    let _ = codec::write_response(&mut *w, resp);
+/// Serialize one response onto the connection. Write failures mean the
+/// client hung up; the next read notices, so they are ignored here.
+fn respond<W: Write>(conn: &mut W, resp: Response) {
+    let _ = codec::write_response(conn, resp);
 }
 
 fn session_error(session: Option<u64>, error: Error) -> Response {
     Response::Error(ErrorResponse { session, error })
 }
 
-/// One connection's read-dispatch loop: decode requests, route them to
-/// session workers, answer protocol-level requests inline.
-fn handle_connection<R: Read, W: Write + Send + 'static>(
-    shared: Arc<Shared>,
-    config: ServerConfig,
-    mut reader: R,
-    writer: Arc<Mutex<W>>,
-) {
-    let mut sessions: HashMap<u64, SyncSender<SessionCmd>> = HashMap::new();
+/// One connection's request loop: read a request, answer it, read the next.
+/// `live` is the session open on the connection, if any — `open` recurses
+/// into this loop with it, so every message is dispatched here.
+///
+/// Returns `true` when the live session was closed and the connection is
+/// still up, `false` once the connection is gone.
+fn serve_connection<S: Read + Write>(
+    shared: &Shared,
+    conn: &mut S,
+    live: Option<(u64, &Evaluator<'_>)>,
+) -> bool {
     loop {
-        let req = match codec::read_request(&mut reader) {
+        let req = match codec::read_request(conn) {
             Ok(req) => req,
             // Disconnect or an undecodable frame: report what we can and
-            // stop; dropping the senders tears the session workers down.
-            Err(Error::Transport(_)) => break,
+            // stop; returning tears the live session down.
+            Err(Error::Transport(_)) => return false,
             Err(e) => {
-                respond(&writer, session_error(None, e));
-                break;
+                respond(conn, session_error(None, e));
+                return false;
             }
         };
         obs().requests.inc();
-        match req {
-            Request::Ping => respond(&writer, Response::Pong),
-            Request::Metrics => respond(
-                &writer,
-                Response::Metrics(crate::wire::MetricsReport {
-                    text: bat_obs::metrics::render_prometheus(),
-                }),
-            ),
+        let resp = match req {
+            Request::Ping => Response::Pong,
+            Request::Metrics => Response::Metrics(crate::wire::MetricsReport {
+                text: bat_obs::metrics::render_prometheus(),
+            }),
             Request::CacheLookup(q) => {
                 // The index records its own lookup counters; a daemon
                 // without a cache still records the (necessarily missed)
@@ -305,121 +258,93 @@ fn handle_connection<R: Read, W: Write + Send + 'static>(
                         None
                     }
                 };
-                respond(&writer, Response::CacheResult(CacheResult { cell }));
+                Response::CacheResult(CacheResult { cell })
             }
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
-                respond(&writer, Response::ShuttingDown);
+                Response::ShuttingDown
             }
-            Request::Open(open) => {
-                let id = shared.next_session.fetch_add(1, Ordering::SeqCst) + 1;
-                let (tx, rx) = std::sync::mpsc::sync_channel::<SessionCmd>(
-                    config.max_inflight_per_session.max(1),
-                );
-                let shared = Arc::clone(&shared);
-                let writer = Arc::clone(&writer);
-                std::thread::spawn(move || session_worker(shared, writer, id, open, rx));
-                sessions.insert(id, tx);
-            }
-            Request::Eval(EvalBatch { session, indices }) => match sessions.get(&session) {
-                None => respond(
-                    &writer,
-                    session_error(Some(session), Error::session("unknown session id")),
+            Request::Open(open) => match live {
+                Some((id, _)) => session_error(
+                    Some(id),
+                    Error::session(format!(
+                        "this connection already holds session {id}; close it first"
+                    )),
                 ),
-                Some(tx) => match tx.try_send(SessionCmd::Eval(indices)) {
-                    Ok(()) => obs().inflight.add(1),
-                    Err(TrySendError::Full(_)) => {
-                        obs().backpressure.inc();
-                        respond(
-                            &writer,
-                            session_error(
-                                Some(session),
-                                Error::session(format!(
-                                "backpressure: session {session} already has {} in-flight batches",
-                                config.max_inflight_per_session.max(1)
-                            )),
-                            ),
-                        )
+                None => {
+                    if open_session(shared, conn, &open) {
+                        continue;
                     }
-                    Err(TrySendError::Disconnected(_)) => respond(
-                        &writer,
-                        session_error(Some(session), Error::session("session terminated")),
-                    ),
-                },
-            },
-            Request::Close(close) => match sessions.remove(&close.session) {
-                None => respond(
-                    &writer,
-                    session_error(Some(close.session), Error::session("unknown session id")),
-                ),
-                // Blocking send: queued batches finish first, then the
-                // worker answers `closed` and exits. A dead worker already
-                // reported its error.
-                Some(tx) => {
-                    let _ = tx.send(SessionCmd::Close);
+                    return false;
                 }
             },
-        }
+            Request::Eval(EvalBatch { session, indices }) => match live {
+                Some((id, eval)) if id == session => {
+                    // The fair scheduler grants this batch its turn; the
+                    // budget itself is charged inside `evaluate_batch`'s
+                    // single CAS claim, so per-session budgets hold exactly
+                    // no matter how turns interleave.
+                    let outcomes = shared.scheduler.run(|| eval.evaluate_batch(&indices));
+                    Response::Evaluated(Evaluated {
+                        session,
+                        outcomes,
+                        stats: EvalBackend::stats(eval),
+                        budget_left: eval.budget_left(),
+                    })
+                }
+                _ => session_error(Some(session), Error::session("unknown session id")),
+            },
+            Request::Close(close) => match live {
+                Some((id, eval)) if id == close.session => {
+                    respond(
+                        conn,
+                        Response::Closed(Closed {
+                            session: id,
+                            stats: EvalBackend::stats(eval),
+                        }),
+                    );
+                    return true;
+                }
+                _ => session_error(Some(close.session), Error::session("unknown session id")),
+            },
+        };
+        respond(conn, resp);
     }
 }
 
-/// The statistics snapshot of one evaluator — the shared
-/// [`EvalBackend::stats`] reading, so wire responses report exactly the
-/// tallies the evaluator counted.
-fn stats_of(eval: &Evaluator<'_>) -> SessionStats {
-    EvalBackend::stats(eval)
-}
-
-/// A session worker: owns the problem, builds the evaluator through the
-/// shared validated path, then serves eval/close commands until the
-/// connection goes away.
-fn session_worker<W: Write>(
-    shared: Arc<Shared>,
-    writer: Arc<Mutex<W>>,
-    id: u64,
-    open: OpenSession,
-    rx: Receiver<SessionCmd>,
-) {
-    let Some(arch) = GpuArch::by_name(&open.architecture) else {
-        respond(
-            &writer,
-            session_error(
-                Some(id),
-                Error::spec(format!("unknown GPU architecture {:?}", open.architecture)),
-            ),
-        );
-        return;
-    };
-    let Some(base) = bat_kernels::benchmark(&open.benchmark, arch) else {
-        respond(
-            &writer,
-            session_error(
-                Some(id),
-                Error::spec(format!("unknown benchmark {:?}", open.benchmark)),
-            ),
-        );
-        return;
+/// Open the session `open` describes and serve the connection with it live
+/// until `close` (returns `true`) or disconnect (`false`). A session that
+/// cannot be built is answered with its error and leaves the connection up.
+fn open_session<S: Read + Write>(shared: &Shared, conn: &mut S, open: &OpenSession) -> bool {
+    let id = shared.next_session.fetch_add(1, Ordering::SeqCst) + 1;
+    let base = match open.problem() {
+        Ok(base) => base,
+        Err(e) => {
+            respond(conn, session_error(Some(id), e));
+            return true;
+        }
     };
     // Blended objectives wrap the problem exactly as the in-process
     // campaign path does, so names, noise salts and therefore artifacts
     // agree byte for byte.
     match open.scalarization {
-        None => run_session(&base, &shared, &writer, id, &open, rx),
+        None => run_session(&base, shared, conn, id, open),
         Some(s) => {
             let blended = bat_moo::Scalarized::new(base, s.into());
-            run_session(&blended, &shared, &writer, id, &open, rx);
+            run_session(&blended, shared, conn, id, open)
         }
     }
 }
 
-fn run_session<W: Write>(
+/// Build the session's evaluator through the shared validated path, answer
+/// `opened`, then serve the connection with the session live.
+fn run_session<S: Read + Write>(
     problem: &dyn TuningProblem,
     shared: &Shared,
-    writer: &Mutex<W>,
+    conn: &mut S,
     id: u64,
     open: &OpenSession,
-    rx: Receiver<SessionCmd>,
-) {
+) -> bool {
     let mut builder = Evaluator::builder(problem)
         .protocol(open.protocol())
         .maybe_budget(open.budget)
@@ -431,11 +356,11 @@ fn run_session<W: Write>(
     let eval = match builder.build() {
         Ok(eval) => eval,
         Err(e) => {
-            respond(writer, session_error(Some(id), e));
-            return;
+            respond(conn, session_error(Some(id), e));
+            return true;
         }
     };
-    // Open-session gauge, decremented however the worker exits (close,
+    // Open-session gauge, decremented however the session ends (close,
     // connection drop, panic unwind).
     struct OpenGuard;
     impl Drop for OpenGuard {
@@ -447,7 +372,7 @@ fn run_session<W: Write>(
     obs().sessions_total.inc();
     let _open = OpenGuard;
     respond(
-        writer,
+        conn,
         Response::Opened(Opened {
             session: id,
             problem: problem.name().to_string(),
@@ -455,36 +380,5 @@ fn run_session<W: Write>(
             budget_left: eval.budget_left(),
         }),
     );
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            SessionCmd::Eval(indices) => {
-                obs().inflight.sub(1);
-                // The fair scheduler grants this batch its turn; the
-                // budget itself is charged inside `evaluate_batch`'s
-                // single CAS claim, so per-session budgets hold exactly
-                // no matter how turns interleave.
-                let outcomes = shared.scheduler.run(|| eval.evaluate_batch(&indices));
-                respond(
-                    writer,
-                    Response::Evaluated(Evaluated {
-                        session: id,
-                        outcomes,
-                        stats: stats_of(&eval),
-                        budget_left: eval.budget_left(),
-                    }),
-                );
-            }
-            SessionCmd::Close => {
-                respond(
-                    writer,
-                    Response::Closed(Closed {
-                        session: id,
-                        stats: stats_of(&eval),
-                    }),
-                );
-                return;
-            }
-        }
-    }
-    // Connection dropped without a close: tear down silently.
+    serve_connection(shared, conn, Some((id, &eval)))
 }

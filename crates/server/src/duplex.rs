@@ -73,34 +73,16 @@ impl Pipe {
     }
 }
 
-/// One end of an in-memory bidirectional stream.
-///
-/// Cloning yields another handle to the *same* end (like
-/// `TcpStream::try_clone`), which is how the connection handler splits one
-/// stream into a reader thread and concurrent writers. The end closes when
-/// its last handle drops; the peer then drains buffered bytes and sees EOF.
+/// One end of an in-memory bidirectional stream. Dropping it closes the
+/// end; the peer then drains buffered bytes and sees EOF.
 pub struct DuplexStream {
     rx: Arc<Pipe>,
     tx: Arc<Pipe>,
-    /// Close `tx` when the last handle to this end drops.
-    tx_guard: Arc<CloseOnDrop>,
 }
 
-struct CloseOnDrop(Arc<Pipe>);
-
-impl Drop for CloseOnDrop {
+impl Drop for DuplexStream {
     fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-impl Clone for DuplexStream {
-    fn clone(&self) -> Self {
-        DuplexStream {
-            rx: Arc::clone(&self.rx),
-            tx: Arc::clone(&self.tx),
-            tx_guard: Arc::clone(&self.tx_guard),
-        }
+        self.tx.close();
     }
 }
 
@@ -130,12 +112,10 @@ pub fn duplex() -> (DuplexStream, DuplexStream) {
     let a = DuplexStream {
         rx: Arc::clone(&b_to_a),
         tx: Arc::clone(&a_to_b),
-        tx_guard: Arc::new(CloseOnDrop(Arc::clone(&a_to_b))),
     };
     let b = DuplexStream {
         rx: a_to_b,
-        tx: Arc::clone(&b_to_a),
-        tx_guard: Arc::new(CloseOnDrop(b_to_a)),
+        tx: b_to_a,
     };
     (a, b)
 }
@@ -165,21 +145,6 @@ mod tests {
         let mut out = Vec::new();
         b.read_to_end(&mut out).unwrap();
         assert_eq!(out, b"tail");
-    }
-
-    #[test]
-    fn clones_share_the_end_and_keep_it_open() {
-        let (a, mut b) = duplex();
-        let a2 = a.clone();
-        drop(a);
-        // a2 still holds the end open.
-        let mut a = a2;
-        a.write_all(b"x").unwrap();
-        let mut buf = [0u8; 1];
-        b.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"x");
-        drop(a);
-        assert_eq!(b.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

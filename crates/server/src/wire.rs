@@ -174,6 +174,17 @@ impl OpenSession {
             batch: self.batch,
         }
     }
+
+    /// The benchmark problem this session spec names, built from the
+    /// kernel registry. An unknown benchmark or architecture is
+    /// [`Error::Spec`].
+    pub fn problem(&self) -> Result<bat_kernels::GpuBenchmark, Error> {
+        let arch = bat_gpusim::GpuArch::by_name(&self.architecture).ok_or_else(|| {
+            Error::spec(format!("unknown GPU architecture {:?}", self.architecture))
+        })?;
+        bat_kernels::benchmark(&self.benchmark, arch)
+            .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", self.benchmark)))
+    }
 }
 
 /// Payload of [`Request::Eval`].
