@@ -85,9 +85,10 @@ pub trait EvalBackend {
 
     /// Measure one configuration; `Ok(None)` when the budget is exhausted.
     ///
-    /// Equivalent to a one-element [`EvalBackend::evaluate_batch`] (same
-    /// budget charge, same memo state), which is the provided
-    /// implementation.
+    /// A one-element [`EvalBackend::evaluate_batch`] (same budget charge,
+    /// same memo state). Every backend uses this provided implementation;
+    /// in-process it is exactly [`Evaluator::evaluate_index`], which is the
+    /// same batch of one.
     fn evaluate_index(&self, index: u64) -> Result<Option<EvalOutcome>, Error> {
         Ok(self.evaluate_batch(std::slice::from_ref(&index))?.pop())
     }
@@ -144,10 +145,6 @@ impl EvalBackend for Evaluator<'_> {
 
     fn evaluate_batch(&self, indices: &[u64]) -> Result<Vec<EvalOutcome>, Error> {
         Ok(Evaluator::evaluate_batch(self, indices))
-    }
-
-    fn evaluate_index(&self, index: u64) -> Result<Option<EvalOutcome>, Error> {
-        Ok(Evaluator::evaluate_index(self, index))
     }
 
     fn has_budget(&self) -> bool {

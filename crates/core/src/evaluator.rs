@@ -6,8 +6,24 @@
 //! an evaluation budget. Because all tuners evaluate through this one type,
 //! comparisons between optimization algorithms are apples-to-apples — the
 //! paper's core motivation.
+//!
+//! Every evaluation runs through one pipeline, [`Evaluator::evaluate_batch`]
+//! ([`Evaluator::evaluate_index`] is a batch of one):
+//!
+//! 1. one CAS claim against the budget for the whole batch;
+//! 2. one partition loop: memo probe, then first-occurrence dedup of the
+//!    misses;
+//! 3. the measure stage: the pipelined parallel fan-out, or — with a fault
+//!    model installed — one bounded retry chain per configuration;
+//! 4. a fill that moves each measured result into its last occurrence.
+//!
+//! An evaluator is built by one constructor chain,
+//! [`Evaluator::with_protocol`] followed by the `with_*` setters; callers
+//! that take a protocol from outside the process check it first with
+//! [`Protocol::validate`].
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -57,10 +73,12 @@ struct FaultEntry {
     quarantined: bool,
 }
 
-/// Installed fault-injection state: the model, the retry policy and the
-/// per-configuration attempt/strike ledger.
+/// Installed fault-injection state: the model, its salt, the retry policy
+/// and the per-configuration attempt/strike ledger.
 struct FaultInjection {
     model: FaultModel,
+    /// `model.salt_for(noise_salt)`, fixed when the model is installed.
+    salt: u64,
     policy: RetryPolicy,
     state: Mutex<HashMap<u64, FaultEntry>>,
 }
@@ -114,6 +132,24 @@ impl Protocol {
     pub fn batch(&self) -> usize {
         self.batch.max(1) as usize
     }
+
+    /// Check the protocol can measure anything: at least one run, and a
+    /// finite, non-negative noise level (an infinite `sigma` would also
+    /// serialize as `null`, which no artifact reader accepts). Campaign
+    /// spec validation and the daemon's session open both call this;
+    /// [`Evaluator::with_protocol`] itself does not.
+    pub fn validate(&self) -> Result<(), Error> {
+        if self.runs == 0 {
+            return Err(Error::spec("protocol.runs must be positive"));
+        }
+        if !self.sigma.is_finite() || self.sigma < 0.0 {
+            return Err(Error::spec(format!(
+                "protocol.sigma must be finite and non-negative, got {}",
+                self.sigma
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Number of independent memo-cache shards. Tuners running under rayon hit
@@ -122,13 +158,14 @@ impl Protocol {
 const CACHE_SHARDS: usize = 64;
 
 thread_local! {
-    /// Per-thread configuration decode scratch: `evaluate_index` sits in
-    /// every tuner's inner loop, so the per-call `Vec<i64>` is hoisted here.
+    /// Per-thread configuration decode scratch for one-at-a-time
+    /// measurement (short batches and retry chains), so no call allocates
+    /// a `Vec<i64>`.
     static CONFIG_SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
 
-    /// Reusable dedup scratch for the batch paths: the ask/tell driver
-    /// calls `evaluate_batch` once per generation, so its bookkeeping
-    /// buffers are hoisted here instead of being reallocated per call.
+    /// Reusable dedup scratch for `evaluate_batch`: the ask/tell driver
+    /// calls it once per generation, so its bookkeeping buffers are
+    /// hoisted here instead of being reallocated per call.
     static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
 
     /// Two flat per-worker decode banks for the pipelined large-batch path
@@ -145,8 +182,6 @@ struct BatchScratch {
     to_measure: Vec<u64>,
     /// `(output position, to_measure slot)` for every cache miss.
     occurrences: Vec<(usize, usize)>,
-    /// First-occurrence slot per output position (faulty path).
-    slots: Vec<usize>,
     /// Index → slot map for batches too large for a linear dedup scan.
     slot_of: HashMap<u64, usize>,
     /// Last output position of each slot (the occurrence that receives the
@@ -254,24 +289,26 @@ pub struct Evaluator<'p> {
 }
 
 impl<'p> Evaluator<'p> {
-    /// Start building an evaluator for `problem` — the one validated
-    /// construction path shared by in-process use and the tuning server.
-    pub fn builder(problem: &'p dyn TuningProblem) -> EvaluatorBuilder<'p> {
-        EvaluatorBuilder::new(problem)
-    }
-
-    /// Wrap `problem` with the default protocol and no budget.
+    /// Wrap `problem` with an explicit protocol: memoized, unbudgeted,
+    /// time-only and fault-free until the `with_*` setters say otherwise.
+    /// The protocol is taken as given; check untrusted ones with
+    /// [`Protocol::validate`] first.
     ///
-    /// Legacy shim: prefer [`Evaluator::builder`], which validates the
-    /// protocol up front. Kept for one release.
-    pub fn new(problem: &'p dyn TuningProblem) -> Self {
-        Self::with_protocol(problem, Protocol::default())
-    }
-
-    /// Wrap `problem` with an explicit protocol.
+    /// ```
+    /// use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    /// use bat_space::{ConfigSpace, Param};
     ///
-    /// Legacy shim: prefer [`Evaluator::builder`], which validates the
-    /// protocol up front. Kept for one release.
+    /// let space = ConfigSpace::builder()
+    ///     .param(Param::int_range("x", 0, 7))
+    ///     .build()
+    ///     .unwrap();
+    /// let problem = SyntheticProblem::new("p", "sim", space, |c| Ok(1.0 + c[0] as f64));
+    /// let protocol = Protocol::noiseless();
+    /// protocol.validate().unwrap();
+    /// let eval = Evaluator::with_protocol(&problem, protocol).with_budget(10);
+    /// assert_eq!(eval.evaluate_index(3).unwrap().unwrap().time_ms, 4.0);
+    /// assert_eq!(eval.budget_left(), Some(9));
+    /// ```
     pub fn with_protocol(problem: &'p dyn TuningProblem, protocol: Protocol) -> Self {
         Evaluator {
             problem,
@@ -300,18 +337,14 @@ impl<'p> Evaluator<'p> {
         &self.cache[(mixed >> 58) as usize % CACHE_SHARDS]
     }
 
-    /// Limit the number of `evaluate*` calls. Calls past the budget return
-    /// `None`.
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`]. Kept for one release.
+    /// Limit the number of evaluations. Calls past the budget return
+    /// `None` (or a truncated batch).
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = Some(budget);
         self
     }
 
     /// Disable memoization (ablation: every call re-measures).
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`]. Kept for one release.
     pub fn without_cache(mut self) -> Self {
         self.cache_enabled = false;
         self
@@ -325,6 +358,7 @@ impl<'p> Evaluator<'p> {
     /// evaluation path is byte-for-byte the pre-fault one.
     pub fn with_faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
         self.faults = Some(FaultInjection {
+            salt: model.salt_for(self.noise_salt),
             model,
             policy,
             state: Mutex::new(HashMap::new()),
@@ -384,67 +418,26 @@ impl<'p> Evaluator<'p> {
         self.budget_left().is_none_or(|left| left > 0)
     }
 
-    /// Evaluate a configuration by dense index. Returns `None` when the
-    /// budget is exhausted.
+    /// Evaluate a configuration by dense index: a batch of one. Returns
+    /// `None` when the budget is exhausted.
     pub fn evaluate_index(&self, index: u64) -> Option<Result<Measurement, EvalFailure>> {
-        if !self.has_budget() {
-            return None;
-        }
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        obs().evals.inc();
-        if self.faults.is_some() {
-            return Some(self.evaluate_faulty(index));
-        }
-        if !self.cache_enabled {
-            let result = self.decode_and_measure(index);
-            self.distinct.fetch_add(1, Ordering::Relaxed);
-            obs().measured.inc();
-            return Some(result);
-        }
-        if let Some(hit) = self.shard(index).lock().get(&index) {
-            obs().memo_hits.inc();
-            return Some(hit.clone());
-        }
-        obs().measured.inc();
-        // Measure outside the lock (measurements are deterministic per
-        // index, so a racing duplicate measurement is identical), then
-        // insert through the entry API: one lock, and `distinct` counts a
-        // configuration exactly once even under races.
-        let result = self.decode_and_measure(index);
-        match self.shard(index).lock().entry(index) {
-            std::collections::hash_map::Entry::Occupied(e) => Some(e.get().clone()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(result.clone());
-                self.distinct.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
+        self.evaluate_batch(std::slice::from_ref(&index)).pop()
+    }
+
+    /// Evaluate a configuration by value vector. Returns `None` when the
+    /// budget is exhausted. Configurations with values outside the space are
+    /// reported as [`EvalFailure::Restricted`].
+    pub fn evaluate_config(&self, config: &[i64]) -> Option<Result<Measurement, EvalFailure>> {
+        match self.problem.space().index_of(config) {
+            Some(idx) => self.evaluate_index(idx),
+            None => (self.claim(1) == 1).then_some(Err(EvalFailure::Restricted)),
         }
     }
 
-    /// Evaluate a batch of configurations by dense index — the measurement
-    /// side of the ask/tell protocol.
-    ///
-    /// Semantically equivalent to calling [`Evaluator::evaluate_index`] on
-    /// each element in order (same results, same budget accounting, same
-    /// memo/distinct state), but:
-    ///
-    /// * the budget is claimed **once** for the whole batch (one atomic
-    ///   transaction instead of one per element);
-    /// * duplicate indices within the batch are decoded and measured once
-    ///   (each occurrence still spends budget, exactly like repeated serial
-    ///   calls);
-    /// * cache-missing configurations fan out over the compat-rayon pool,
-    ///   each worker decoding into its own thread-local scratch.
-    ///
-    /// The returned vector holds one outcome per element until the budget
-    /// ran out: if only `k` evaluations were affordable, it has length `k`
-    /// (serial calls would have returned `None` from element `k` on).
-    pub fn evaluate_batch(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
-        let want = indices.len() as u64;
-        if want == 0 {
-            return Vec::new();
-        }
-        // One budget claim for the whole batch.
+    /// Claim up to `want` evaluations against the budget in one CAS
+    /// transaction, so concurrent callers can never overshoot it. Returns
+    /// how many were granted.
+    fn claim(&self, want: u64) -> u64 {
         let claimed = match self.budget {
             None => {
                 self.evals.fetch_add(want, Ordering::Relaxed);
@@ -464,23 +457,44 @@ impl<'p> Evaluator<'p> {
                     break claim;
                 }
             },
-        } as usize;
+        };
+        obs().evals.add(claimed);
+        claimed
+    }
+
+    /// Evaluate a batch of configurations by dense index — the measurement
+    /// side of the ask/tell protocol, and the one evaluation pipeline.
+    ///
+    /// Semantically equivalent to evaluating each element in order as its
+    /// own batch of one (same results, same budget accounting, same
+    /// memo/distinct state), but:
+    ///
+    /// * the budget is claimed **once** for the whole batch (one atomic
+    ///   transaction instead of one per element);
+    /// * duplicate indices within the batch are decoded and measured once
+    ///   (each occurrence still spends budget, exactly like repeated serial
+    ///   calls);
+    /// * cache-missing configurations fan out over the compat-rayon pool,
+    ///   each worker decoding into its own thread-local scratch.
+    ///
+    /// The returned vector holds one outcome per element until the budget
+    /// ran out: if only `k` evaluations were affordable, it has length `k`
+    /// (serial calls would have returned `None` from element `k` on).
+    pub fn evaluate_batch(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
+        if indices.is_empty() {
+            return Vec::new();
+        }
+        let claimed = self.claim(indices.len() as u64) as usize;
         let indices = &indices[..claimed];
-        obs().evals.add(claimed as u64);
         obs().batches.inc();
         let mut batch_span = bat_obs::trace::span("batch");
         batch_span.record_u64("size", claimed as u64);
 
-        if self.faults.is_some() {
-            return self.evaluate_batch_faulty(indices);
-        }
-
         if !self.cache_enabled {
-            // No memoization: every occurrence re-measures, as serially.
-            let out = self.measure_many(indices);
+            // No memoization: every occurrence is measured, as serially.
             self.distinct.fetch_add(claimed as u64, Ordering::Relaxed);
             obs().measured.add(claimed as u64);
-            return out;
+            return self.measure_stage(indices);
         }
 
         BATCH_SCRATCH.with(|s| {
@@ -528,19 +542,7 @@ impl<'p> Evaluator<'p> {
             batch_span.record_u64("dedup_hits", dedup_hits as u64);
             batch_span.record_u64("measured", scratch.to_measure.len() as u64);
 
-            // Measure the unique misses in parallel (deterministic per
-            // index, collected in order), then publish through the entry
-            // API so `distinct` counts each configuration exactly once
-            // under races.
-            let mut measured = self.measure_many(&scratch.to_measure);
-            for (&idx, result) in scratch.to_measure.iter().zip(&measured) {
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    self.shard(idx).lock().entry(idx)
-                {
-                    e.insert(result.clone());
-                    self.distinct.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let mut measured = self.measure_stage(&scratch.to_measure);
             // Fill the outputs: each unique result *moves* into its last
             // occurrence and only extra duplicates clone, so a dup-free
             // batch pays one clone per configuration (the memo's), not two.
@@ -558,6 +560,43 @@ impl<'p> Evaluator<'p> {
             }
             out
         })
+    }
+
+    /// The measure stage: measure `indices` (with memoization on, the
+    /// batch's unique misses; without, every occurrence) in order, and
+    /// memoize what may be memoized.
+    ///
+    /// Without a fault model this is the parallel `measure_many` fan-out,
+    /// published through the entry API so `distinct` counts each
+    /// configuration exactly once under races. With one, each index runs
+    /// its bounded retry chain: unique indices in parallel (attempt
+    /// counters are per configuration, so outcomes do not depend on the
+    /// thread count), repeated ones sequentially so they draw attempt
+    /// numbers in order.
+    fn measure_stage(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
+        let Some(faults) = &self.faults else {
+            let measured = self.measure_many(indices);
+            if self.cache_enabled {
+                for (&idx, result) in indices.iter().zip(&measured) {
+                    if let Entry::Vacant(e) = self.shard(idx).lock().entry(idx) {
+                        e.insert(result.clone());
+                        self.distinct.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            return measured;
+        };
+        if self.cache_enabled {
+            (0..indices.len())
+                .into_par_iter()
+                .map(|k| self.retry_chain(faults, indices[k]))
+                .collect()
+        } else {
+            indices
+                .iter()
+                .map(|&idx| self.retry_chain(faults, idx))
+                .collect()
+        }
     }
 
     /// Measure a list of indices in parallel, returning results in input
@@ -578,7 +617,7 @@ impl<'p> Evaluator<'p> {
         if indices.len() < 2 * PIPE_BLOCK {
             return (0..indices.len())
                 .into_par_iter()
-                .map(|k| self.decode_and_measure(indices[k]))
+                .map(|k| self.decode_and_measure(indices[k], 0))
                 .collect();
         }
         let space = self.problem.space();
@@ -619,7 +658,7 @@ impl<'p> Evaluator<'p> {
                     let t1 = std::time::Instant::now();
                     for (j, slot) in block.iter_mut().enumerate() {
                         *slot =
-                            self.measure(indices[lo + j], &bank[j * nparams..(j + 1) * nparams]);
+                            self.measure(indices[lo + j], &bank[j * nparams..(j + 1) * nparams], 0);
                     }
                     obs().measure_us.observe(t1.elapsed().as_micros() as u64);
                 });
@@ -627,102 +666,10 @@ impl<'p> Evaluator<'p> {
         out
     }
 
-    /// Evaluate a configuration by value vector. Returns `None` when the
-    /// budget is exhausted. Configurations with values outside the space are
-    /// reported as [`EvalFailure::Restricted`].
-    pub fn evaluate_config(&self, config: &[i64]) -> Option<Result<Measurement, EvalFailure>> {
-        match self.problem.space().index_of(config) {
-            Some(idx) => self.evaluate_index(idx),
-            None => {
-                if !self.has_budget() {
-                    return None;
-                }
-                self.evals.fetch_add(1, Ordering::Relaxed);
-                obs().evals.inc();
-                Some(Err(EvalFailure::Restricted))
-            }
-        }
-    }
-
-    /// The batch fan-out under fault injection. Each unique index runs its
-    /// whole retry chain on one worker, so per-configuration attempt
-    /// counters advance deterministically regardless of thread count;
-    /// duplicate occurrences within a batch share that chain's outcome
-    /// (each still spends budget, exactly as the memo cache serves serial
-    /// repeats of a cacheable outcome).
-    fn evaluate_batch_faulty(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
-        if !self.cache_enabled {
-            // Without memoization each occurrence re-runs its retry chain,
-            // sequentially so duplicates draw attempt numbers in order.
-            return indices
-                .iter()
-                .map(|&idx| self.evaluate_faulty(idx))
-                .collect();
-        }
-        // Deduplicate to first-occurrence slots (linear scan for the small
-        // batches the driver emits, HashMap beyond that), reusing the
-        // per-thread scratch buffers.
-        let claimed = indices.len();
-        BATCH_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.to_measure.clear();
-            scratch.slots.clear();
-            let use_map = claimed > DEDUP_SCAN_MAX;
-            if use_map {
-                scratch.slot_of.clear();
-            }
-            for &idx in indices {
-                let slot = if use_map {
-                    *scratch.slot_of.entry(idx).or_insert_with(|| {
-                        scratch.to_measure.push(idx);
-                        scratch.to_measure.len() - 1
-                    })
-                } else {
-                    match scratch.to_measure.iter().position(|&u| u == idx) {
-                        Some(slot) => slot,
-                        None => {
-                            scratch.to_measure.push(idx);
-                            scratch.to_measure.len() - 1
-                        }
-                    }
-                };
-                scratch.slots.push(slot);
-            }
-            let uniq = &scratch.to_measure;
-            let mut measured: Vec<Result<Measurement, EvalFailure>> = (0..uniq.len())
-                .into_par_iter()
-                .map(|k| self.evaluate_faulty(uniq[k]))
-                .collect();
-            // Move each unique outcome into its last occurrence; only
-            // extra duplicates clone.
-            scratch.last.clear();
-            scratch.last.resize(measured.len(), usize::MAX);
-            for (i, &slot) in scratch.slots.iter().enumerate() {
-                scratch.last[slot] = i;
-            }
-            let mut out: Vec<Result<Measurement, EvalFailure>> =
-                vec![Err(EvalFailure::Restricted); claimed];
-            for (i, &slot) in scratch.slots.iter().enumerate() {
-                out[i] = if scratch.last[slot] == i {
-                    std::mem::replace(&mut measured[slot], Err(EvalFailure::Restricted))
-                } else {
-                    measured[slot].clone()
-                };
-            }
-            out
-        })
-    }
-
-    /// One budget-charged evaluation under the installed fault model: cache
-    /// probe, then a bounded retry chain over measurement attempts.
-    fn evaluate_faulty(&self, index: u64) -> Result<Measurement, EvalFailure> {
-        let faults = self.faults.as_ref().expect("fault path without a model");
-        if self.cache_enabled {
-            if let Some(hit) = self.shard(index).lock().get(&index) {
-                obs().memo_hits.inc();
-                return hit.clone();
-            }
-        }
+    /// One budget-charged evaluation under the installed fault model: a
+    /// bounded retry chain over measurement attempts, with crash strikes
+    /// toward quarantine.
+    fn retry_chain(&self, faults: &FaultInjection, index: u64) -> Result<Measurement, EvalFailure> {
         let mut first_ever = false;
         let mut retry: u32 = 0;
         let outcome = loop {
@@ -743,8 +690,7 @@ impl<'p> Evaluator<'p> {
             let result = match attempt {
                 None => Err(EvalFailure::Crash("quarantined configuration".into())),
                 Some(attempt) => {
-                    obs().measured.inc();
-                    let r = self.decode_and_measure_attempt(index, attempt);
+                    let r = self.decode_and_measure(index, attempt);
                     if matches!(r, Err(EvalFailure::Crash(_))) {
                         obs().crashes.inc();
                         let mut state = faults.state.lock();
@@ -786,112 +732,81 @@ impl<'p> Evaluator<'p> {
         };
         // Memoize deterministic outcomes only: a cached flake would be
         // permanent, and crash outcomes stay uncached so repeat proposals
-        // keep striking toward quarantine.
-        let cacheable = !matches!(
-            &outcome,
-            Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
-        );
-        if self.cache_enabled && cacheable {
-            self.shard(index)
-                .lock()
-                .entry(index)
-                .or_insert_with(|| outcome.clone());
-        }
-        if first_ever || !self.cache_enabled {
-            self.distinct.fetch_add(1, Ordering::Relaxed);
+        // keep striking toward quarantine. `distinct` counts a
+        // configuration at its first-ever attempt (without memoization the
+        // caller counts every occurrence).
+        if self.cache_enabled {
+            let cacheable = !matches!(
+                &outcome,
+                Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
+            );
+            if cacheable {
+                self.shard(index)
+                    .lock()
+                    .entry(index)
+                    .or_insert_with(|| outcome.clone());
+            }
+            if first_ever {
+                self.distinct.fetch_add(1, Ordering::Relaxed);
+            }
         }
         outcome
     }
 
-    /// Decode `index` into the thread-local scratch and run one fault-model
-    /// measurement attempt.
-    fn decode_and_measure_attempt(
-        &self,
-        index: u64,
-        attempt: u64,
-    ) -> Result<Measurement, EvalFailure> {
+    /// Decode `index` into the thread-local scratch and measure it.
+    fn decode_and_measure(&self, index: u64, attempt: u64) -> Result<Measurement, EvalFailure> {
         let space = self.problem.space();
         CONFIG_SCRATCH.with(|s| {
             let mut config = s.borrow_mut();
             config.resize(space.num_params(), 0);
             space.decode_into(index, &mut config);
-            self.measure_attempt(index, &config, attempt)
+            self.measure(index, &config, attempt)
         })
     }
 
-    /// One measurement attempt under the fault model. Deterministic model
-    /// failures (restriction, launch) pass through untouched; then the
-    /// sticky crash set, the per-attempt transient and timeout draws, and
-    /// finally per-run outlier corruption — keyed independently of the
-    /// attempt counter, so a retried success reproduces exactly the samples
-    /// an undisturbed first attempt would have yielded.
-    fn measure_attempt(
+    /// Measure one configuration: `runs` noisy samples of the model's pure
+    /// time (and energy, when requested).
+    ///
+    /// With a fault model installed this is measurement attempt `attempt`
+    /// (ignored otherwise). Deterministic model failures (restriction,
+    /// launch) pass through untouched; then come the sticky crash set, the
+    /// per-attempt transient and timeout draws, and finally per-run
+    /// outlier corruption — keyed independently of the attempt counter, so
+    /// a retried success reproduces exactly the samples an undisturbed
+    /// first attempt would have yielded.
+    fn measure(
         &self,
         index: u64,
         config: &[i64],
         attempt: u64,
     ) -> Result<Measurement, EvalFailure> {
-        let faults = self.faults.as_ref().expect("fault path without a model");
-        let model = &faults.model;
         let salt = self.noise_salt;
-        let fsalt = model.salt_for(salt);
         let (pure, pure_energy) = if self.measure_energy {
             self.problem.evaluate_pure2(config)?
         } else {
             (self.problem.evaluate_pure(config)?, None)
         };
-        if model.is_crasher(fsalt, index) {
-            return Err(EvalFailure::Crash("simulated device crash".into()));
-        }
-        if model.transient_fires(fsalt, index, attempt) {
-            return Err(EvalFailure::Transient("simulated launch flake".into()));
-        }
-        if model.timeout_fires(fsalt, index, attempt) {
-            return Err(EvalFailure::Timeout);
+        let faults = self.faults.as_ref().map(|f| (&f.model, f.salt));
+        if let Some((model, fsalt)) = faults {
+            if model.is_crasher(fsalt, index) {
+                return Err(EvalFailure::Crash("simulated device crash".into()));
+            }
+            if model.transient_fires(fsalt, index, attempt) {
+                return Err(EvalFailure::Transient("simulated launch flake".into()));
+            }
+            if model.timeout_fires(fsalt, index, attempt) {
+                return Err(EvalFailure::Timeout);
+            }
         }
         // Samples stream straight into the measurement's inline storage:
         // no `Vec` is built for protocols that fit inline (runs ≤ 8).
         let m = Measurement::from_samples((0..self.protocol.runs).map(|run| {
             let s = noisy_time_ms(pure, self.protocol.sigma, noise_key(salt, index, run));
-            model.corrupt_sample(fsalt, index, run, s)
-        }));
-        Ok(match pure_energy {
-            Some(e) => {
-                let esalt = bat_gpusim::mix(salt, ENERGY_NOISE_STREAM);
-                m.with_energy_samples(
-                    (0..self.protocol.runs).map(|run| {
-                        noisy_time_ms(e, self.protocol.sigma, noise_key(esalt, index, run))
-                    }),
-                )
+            match faults {
+                Some((model, fsalt)) => model.corrupt_sample(fsalt, index, run, s),
+                None => s,
             }
-            None => m,
-        })
-    }
-
-    /// Decode `index` into the thread-local scratch and measure it.
-    fn decode_and_measure(&self, index: u64) -> Result<Measurement, EvalFailure> {
-        let space = self.problem.space();
-        CONFIG_SCRATCH.with(|s| {
-            let mut config = s.borrow_mut();
-            config.resize(space.num_params(), 0);
-            space.decode_into(index, &mut config);
-            self.measure(index, &config)
-        })
-    }
-
-    fn measure(&self, index: u64, config: &[i64]) -> Result<Measurement, EvalFailure> {
-        let salt = self.noise_salt;
-        let (pure, pure_energy) = if self.measure_energy {
-            self.problem.evaluate_pure2(config)?
-        } else {
-            (self.problem.evaluate_pure(config)?, None)
-        };
-        // Samples stream straight into the measurement's inline storage:
-        // no `Vec` is built for protocols that fit inline (runs ≤ 8).
-        let m = Measurement::from_samples(
-            (0..self.protocol.runs)
-                .map(|run| noisy_time_ms(pure, self.protocol.sigma, noise_key(salt, index, run))),
-        );
+        }));
         Ok(match pure_energy {
             Some(e) => {
                 // Same noise discipline as the runtimes, on an independent
@@ -905,135 +820,6 @@ impl<'p> Evaluator<'p> {
             }
             None => m,
         })
-    }
-}
-
-/// The one validated construction path for [`Evaluator`] — shared by
-/// in-process callers and the tuning server's session setup, so both reject
-/// nonsense protocols (`runs == 0`, negative or non-finite `sigma`) with a
-/// typed [`Error::Spec`] before any measurement happens.
-///
-/// The legacy constructor chain ([`Evaluator::with_protocol`] +
-/// [`Evaluator::with_budget`] + …) remains as thin unvalidated shims for
-/// one release.
-///
-/// ```
-/// use bat_core::{Evaluator, Protocol, SyntheticProblem};
-/// use bat_space::{ConfigSpace, Param};
-///
-/// let space = ConfigSpace::builder()
-///     .param(Param::int_range("x", 0, 7))
-///     .build()
-///     .unwrap();
-/// let problem = SyntheticProblem::new("p", "sim", space, |c| Ok(1.0 + c[0] as f64));
-/// let eval = Evaluator::builder(&problem)
-///     .protocol(Protocol::noiseless())
-///     .budget(10)
-///     .build()
-///     .unwrap();
-/// assert_eq!(eval.budget_left(), Some(10));
-/// ```
-pub struct EvaluatorBuilder<'p> {
-    problem: &'p dyn TuningProblem,
-    protocol: Protocol,
-    budget: Option<u64>,
-    energy: bool,
-    cache: bool,
-    faults: Option<(FaultModel, RetryPolicy)>,
-    threads: Option<usize>,
-}
-
-impl<'p> EvaluatorBuilder<'p> {
-    fn new(problem: &'p dyn TuningProblem) -> Self {
-        EvaluatorBuilder {
-            problem,
-            protocol: Protocol::default(),
-            budget: None,
-            energy: false,
-            cache: true,
-            faults: None,
-            threads: None,
-        }
-    }
-
-    /// Use this measurement protocol (default: [`Protocol::default`]).
-    pub fn protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Limit the number of `evaluate*` calls (default: unlimited).
-    pub fn budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Limit the number of `evaluate*` calls, or not (`None` keeps the
-    /// evaluator unbudgeted) — the shape session specs carry.
-    pub fn maybe_budget(mut self, budget: Option<u64>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Also measure the energy objective (default: off, keeping time-only
-    /// artifacts bit-identical to the pre-energy suite).
-    pub fn energy(mut self, energy: bool) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// Enable or disable memoization (default: enabled; disabling is the
-    /// ablation mode where every call re-measures).
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Install a fault model and retry policy (default: none — the
-    /// evaluation path is byte-for-byte the pre-fault one).
-    pub fn faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
-        self.faults = Some((model, policy));
-        self
-    }
-
-    /// Size the measurement worker pool. **Process-global**: resolves the
-    /// shared rayon pool to `threads` workers for every evaluator in the
-    /// process, and only before the pool's first use (later calls are
-    /// ignored by the pool, exactly like the `BAT_THREADS` variable).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Validate and construct the evaluator.
-    ///
-    /// Fails with [`Error::Spec`] when the protocol cannot measure
-    /// anything: zero runs, non-finite or negative noise, or a zero-sized
-    /// worker pool.
-    pub fn build(self) -> Result<Evaluator<'p>, Error> {
-        if self.protocol.runs == 0 {
-            return Err(Error::spec("protocol runs must be >= 1"));
-        }
-        if !self.protocol.sigma.is_finite() || self.protocol.sigma < 0.0 {
-            return Err(Error::spec(format!(
-                "protocol sigma must be finite and >= 0, got {}",
-                self.protocol.sigma
-            )));
-        }
-        if self.threads == Some(0) {
-            return Err(Error::spec("thread count must be >= 1"));
-        }
-        if let Some(threads) = self.threads {
-            rayon::set_global_threads(threads);
-        }
-        let mut eval = Evaluator::with_protocol(self.problem, self.protocol);
-        eval.budget = self.budget;
-        eval.measure_energy = self.energy;
-        eval.cache_enabled = self.cache;
-        if let Some((model, policy)) = self.faults {
-            eval = eval.with_faults(model, policy);
-        }
-        Ok(eval)
     }
 }
 
@@ -1055,8 +841,8 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let p = problem();
-        let e1 = Evaluator::new(&p);
-        let e2 = Evaluator::new(&p);
+        let e1 = Evaluator::with_protocol(&p, Protocol::default());
+        let e2 = Evaluator::with_protocol(&p, Protocol::default());
         let a = e1.evaluate_index(3).unwrap().unwrap();
         let b = e2.evaluate_index(3).unwrap().unwrap();
         assert_eq!(a, b);
@@ -1065,7 +851,7 @@ mod tests {
     #[test]
     fn cache_returns_identical_measurements() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::with_protocol(&p, Protocol::default());
         let a = e.evaluate_index(2).unwrap().unwrap();
         let b = e.evaluate_index(2).unwrap().unwrap();
         assert_eq!(a, b);
@@ -1076,7 +862,7 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(2);
+        let e = Evaluator::with_protocol(&p, Protocol::default()).with_budget(2);
         assert!(e.evaluate_index(0).is_some());
         assert!(e.evaluate_index(1).is_some());
         assert!(e.evaluate_index(2).is_none());
@@ -1086,7 +872,7 @@ mod tests {
     #[test]
     fn restricted_config_reports_failure() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::with_protocol(&p, Protocol::default());
         let r = e.evaluate_config(&[5]).unwrap();
         assert_eq!(r, Err(EvalFailure::Restricted));
     }
@@ -1094,7 +880,7 @@ mod tests {
     #[test]
     fn out_of_space_value_is_restricted() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::with_protocol(&p, Protocol::default());
         let r = e.evaluate_config(&[99]).unwrap();
         assert_eq!(r, Err(EvalFailure::Restricted));
         assert_eq!(e.evals_used(), 1);
@@ -1205,7 +991,7 @@ mod tests {
     #[test]
     fn sharded_cache_counts_distinct_once_under_threads() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::with_protocol(&p, Protocol::default());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -1225,7 +1011,7 @@ mod tests {
     #[test]
     fn without_cache_recounts_distinct() {
         let p = problem();
-        let e = Evaluator::new(&p).without_cache();
+        let e = Evaluator::with_protocol(&p, Protocol::default()).without_cache();
         e.evaluate_index(1).unwrap().unwrap();
         e.evaluate_index(1).unwrap().unwrap();
         assert_eq!(e.distinct_evals(), 2);
@@ -1234,8 +1020,8 @@ mod tests {
     #[test]
     fn batch_matches_serial_results_and_accounting() {
         let p = problem();
-        let serial = Evaluator::new(&p);
-        let batched = Evaluator::new(&p);
+        let serial = Evaluator::with_protocol(&p, Protocol::default());
+        let batched = Evaluator::with_protocol(&p, Protocol::default());
         let indices = [3u64, 5, 3, 8, 8, 1];
         let expect: Vec<_> = indices
             .iter()
@@ -1258,7 +1044,7 @@ mod tests {
     #[test]
     fn batch_truncates_at_the_budget_with_one_claim() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(4);
+        let e = Evaluator::with_protocol(&p, Protocol::default()).with_budget(4);
         let got = e.evaluate_batch(&[0, 1, 2, 3, 4, 5]);
         assert_eq!(got.len(), 4);
         assert_eq!(e.evals_used(), 4);
@@ -1270,7 +1056,7 @@ mod tests {
     #[test]
     fn batch_without_cache_measures_every_occurrence() {
         let p = problem();
-        let e = Evaluator::new(&p).without_cache();
+        let e = Evaluator::with_protocol(&p, Protocol::default()).without_cache();
         let got = e.evaluate_batch(&[2, 2, 2]);
         assert_eq!(got.len(), 3);
         assert_eq!(e.distinct_evals(), 3);
@@ -1280,7 +1066,7 @@ mod tests {
     #[test]
     fn empty_batch_is_free() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(1);
+        let e = Evaluator::with_protocol(&p, Protocol::default()).with_budget(1);
         assert!(e.evaluate_batch(&[]).is_empty());
         assert_eq!(e.evals_used(), 0);
     }
@@ -1332,8 +1118,8 @@ mod tests {
     #[test]
     fn attached_zero_rate_model_changes_nothing() {
         let p = problem();
-        let plain = Evaluator::new(&p);
-        let faulty = Evaluator::new(&p).with_faults(
+        let plain = Evaluator::with_protocol(&p, Protocol::default());
+        let faulty = Evaluator::with_protocol(&p, Protocol::default()).with_faults(
             FaultModel {
                 seed: 7,
                 ..FaultModel::disabled()
@@ -1378,7 +1164,10 @@ mod tests {
         let m = second.expect("attempt 1 succeeds");
         // The success is what gets memoized — and it matches the fault-free
         // measurement byte for byte (outliers are off).
-        let clean = Evaluator::new(&p).evaluate_index(idx).unwrap().unwrap();
+        let clean = Evaluator::with_protocol(&p, Protocol::default())
+            .evaluate_index(idx)
+            .unwrap()
+            .unwrap();
         assert_eq!(m, clean);
         assert_eq!(e.evaluate_index(idx).unwrap().unwrap(), m);
         assert_eq!(e.distinct_evals(), 1);
@@ -1401,7 +1190,10 @@ mod tests {
             .unwrap();
         let e = Evaluator::with_protocol(&p, protocol).with_faults(model, RetryPolicy::default());
         let m = e.evaluate_index(idx).unwrap().expect("retry recovers");
-        let clean = Evaluator::new(&p).evaluate_index(idx).unwrap().unwrap();
+        let clean = Evaluator::with_protocol(&p, Protocol::default())
+            .evaluate_index(idx)
+            .unwrap()
+            .unwrap();
         assert_eq!(m, clean, "retried success must reproduce clean samples");
         assert_eq!(e.retries_used(), 1);
         // Initial charge + one zero-backoff retry.
@@ -1446,7 +1238,7 @@ mod tests {
             seed: 1,
             ..FaultModel::disabled()
         };
-        let e = Evaluator::new(&p).with_faults(
+        let e = Evaluator::with_protocol(&p, Protocol::default()).with_faults(
             model,
             RetryPolicy {
                 quarantine_after: 2,
@@ -1487,8 +1279,8 @@ mod tests {
             ..FaultModel::disabled()
         };
         let policy = RetryPolicy::default();
-        let serial = Evaluator::new(&p).with_faults(model, policy);
-        let batched = Evaluator::new(&p).with_faults(model, policy);
+        let serial = Evaluator::with_protocol(&p, Protocol::default()).with_faults(model, policy);
+        let batched = Evaluator::with_protocol(&p, Protocol::default()).with_faults(model, policy);
         let indices: Vec<u64> = (0..40).collect();
         let expect: Vec<_> = indices
             .iter()
@@ -1515,11 +1307,13 @@ mod tests {
             ..FaultModel::disabled()
         };
         let indices: Vec<u64> = (0..64).collect();
-        let wide = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
+        let wide = Evaluator::with_protocol(&p, Protocol::default())
+            .with_faults(model, RetryPolicy::default());
         let wide_out = wide.evaluate_batch(&indices);
         // A single-element outer par_iter marks the thread as already
         // parallel, so the inner batch fan-out degrades to one worker.
-        let narrow = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
+        let narrow = Evaluator::with_protocol(&p, Protocol::default())
+            .with_faults(model, RetryPolicy::default());
         let narrow_out: Vec<Vec<Result<Measurement, EvalFailure>>> = [&narrow]
             .par_iter()
             .map(|e| e.evaluate_batch(&indices))
@@ -1553,74 +1347,57 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_legacy_constructor_chain() {
-        let p = problem();
-        let legacy = Evaluator::with_protocol(&p, Protocol::default())
-            .with_budget(7)
-            .with_energy();
-        let built = Evaluator::builder(&p)
-            .protocol(Protocol::default())
-            .budget(7)
-            .energy(true)
-            .build()
-            .unwrap();
-        for idx in [1, 2, 3, 1] {
-            assert_eq!(legacy.evaluate_index(idx), built.evaluate_index(idx));
+    fn protocol_validate_rejects_bad_protocols() {
+        assert!(Protocol::default().validate().is_ok());
+        assert!(Protocol::noiseless().validate().is_ok());
+        for bad in [
+            Protocol {
+                runs: 0,
+                ..Protocol::default()
+            },
+            Protocol {
+                sigma: f64::NAN,
+                ..Protocol::default()
+            },
+            Protocol {
+                sigma: -0.5,
+                ..Protocol::default()
+            },
+            Protocol {
+                sigma: f64::INFINITY,
+                ..Protocol::default()
+            },
+        ] {
+            match bad.validate() {
+                Err(Error::Spec(msg)) => assert!(msg.starts_with("protocol."), "{msg}"),
+                other => panic!("{bad:?} accepted: {other:?}"),
+            }
         }
-        assert_eq!(legacy.budget_left(), built.budget_left());
-        assert_eq!(legacy.distinct_evals(), built.distinct_evals());
     }
 
     #[test]
-    fn builder_matches_faulty_chain() {
-        let p = wide_problem();
-        let model = FaultModel {
-            transient_rate: 0.3,
-            crash_rate: 0.1,
-            seed: 2,
-            ..FaultModel::disabled()
-        };
-        let legacy = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
-        let built = Evaluator::builder(&p)
-            .faults(model, RetryPolicy::default())
-            .build()
-            .unwrap();
-        let indices: Vec<u64> = (0..32).collect();
-        assert_eq!(
-            legacy.evaluate_batch(&indices),
-            built.evaluate_batch(&indices)
-        );
-        assert_eq!(legacy.retries_used(), built.retries_used());
-    }
-
-    #[test]
-    fn builder_rejects_bad_protocols() {
+    fn concurrent_serial_calls_never_overshoot_the_budget() {
+        // Each serial call claims its one evaluation through the same CAS
+        // transaction as a batch, so racing threads can never overshoot.
         let p = problem();
-        let zero_runs = Protocol {
-            runs: 0,
-            ..Protocol::default()
-        };
-        assert!(Evaluator::builder(&p).protocol(zero_runs).build().is_err());
-        let bad_sigma = Protocol {
-            sigma: f64::NAN,
-            ..Protocol::default()
-        };
-        assert!(Evaluator::builder(&p).protocol(bad_sigma).build().is_err());
-        let neg_sigma = Protocol {
-            sigma: -0.5,
-            ..Protocol::default()
-        };
-        assert!(Evaluator::builder(&p).protocol(neg_sigma).build().is_err());
-        assert!(Evaluator::builder(&p).threads(0).build().is_err());
-    }
-
-    #[test]
-    fn builder_cache_toggle_is_without_cache() {
-        let p = problem();
-        let built = Evaluator::builder(&p).cache(false).build().unwrap();
-        built.evaluate_index(1);
-        built.evaluate_index(1);
-        assert_eq!(built.evals_used(), 2);
-        assert_eq!(built.distinct_evals(), 2, "cache off: every call measures");
+        for _ in 0..200 {
+            let e = Evaluator::with_protocol(&p, Protocol::default()).with_budget(1000);
+            let outcomes = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let (e, outcomes) = (&e, &outcomes);
+                    s.spawn(move || {
+                        let mut idx = t;
+                        while e.evaluate_index(idx % 10).is_some() {
+                            outcomes.fetch_add(1, Ordering::Relaxed);
+                            idx += 1;
+                        }
+                    });
+                }
+            });
+            assert_eq!(outcomes.into_inner(), 1000);
+            assert_eq!(e.evals_used(), 1000);
+            assert!(e.evaluate_index(0).is_none());
+        }
     }
 }

@@ -33,7 +33,7 @@ pub mod t4;
 pub use backend::{EvalBackend, EvalOutcome, EvalStats};
 pub use bat_gpusim::FaultModel;
 pub use error::Error;
-pub use evaluator::{Evaluator, EvaluatorBuilder, Protocol, RetryPolicy};
+pub use evaluator::{Evaluator, Protocol, RetryPolicy};
 pub use measurement::{EvalFailure, Measurement, Samples};
 pub use problem::{SyntheticProblem, TuningProblem};
 pub use ranking::friedman_mean_ranks;

@@ -628,11 +628,11 @@ impl ExperimentSpec {
         if self.repetitions == 0 {
             return Err(SpecError("repetitions must be positive".into()));
         }
-        if self.protocol.runs == 0 {
-            return Err(SpecError("protocol.runs must be positive".into()));
-        }
-        if self.protocol.sigma.is_nan() || self.protocol.sigma < 0.0 {
-            return Err(SpecError("protocol.sigma must be non-negative".into()));
+        if let Err(e) = self.protocol.protocol().validate() {
+            return Err(SpecError(match e {
+                bat_core::Error::Spec(msg) => msg,
+                other => other.to_string(),
+            }));
         }
         if self.protocol.batch == Some(0) {
             return Err(SpecError("protocol.batch must be positive".into()));
@@ -856,6 +856,10 @@ mod tests {
         }
         .validate()
         .is_err());
+        let mut inf_sigma = small_spec();
+        inf_sigma.protocol.sigma = f64::INFINITY;
+        let err = inf_sigma.validate().unwrap_err();
+        assert!(err.0.contains("sigma"), "{err}");
     }
 
     #[test]

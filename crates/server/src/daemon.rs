@@ -336,8 +336,9 @@ fn open_session<S: Read + Write>(shared: &Shared, conn: &mut S, open: &OpenSessi
     }
 }
 
-/// Build the session's evaluator through the shared validated path, answer
-/// `opened`, then serve the connection with the session live.
+/// Validate the session's protocol (the same check campaign specs pass),
+/// build its evaluator, answer `opened`, then serve the connection with
+/// the session live.
 fn run_session<S: Read + Write>(
     problem: &dyn TuningProblem,
     shared: &Shared,
@@ -345,21 +346,22 @@ fn run_session<S: Read + Write>(
     id: u64,
     open: &OpenSession,
 ) -> bool {
-    let mut builder = Evaluator::builder(problem)
-        .protocol(open.protocol())
-        .maybe_budget(open.budget)
-        .energy(open.energy);
+    let protocol = open.protocol();
+    if let Err(e) = protocol.validate() {
+        respond(conn, session_error(Some(id), e));
+        return true;
+    }
+    let mut eval = Evaluator::with_protocol(problem, protocol);
+    if let Some(budget) = open.budget {
+        eval = eval.with_budget(budget);
+    }
+    if open.energy {
+        eval = eval.with_energy();
+    }
     if let Some(wf) = open.faults {
         let (model, policy) = wf.into();
-        builder = builder.faults(model, policy);
+        eval = eval.with_faults(model, policy);
     }
-    let eval = match builder.build() {
-        Ok(eval) => eval,
-        Err(e) => {
-            respond(conn, session_error(Some(id), e));
-            return true;
-        }
-    };
     // Open-session gauge, decremented however the session ends (close,
     // connection drop, panic unwind).
     struct OpenGuard;

@@ -264,6 +264,29 @@ mod tests {
     }
 
     #[test]
+    fn invalid_protocols_are_refused_at_open() {
+        // The daemon checks protocols with the same `Protocol::validate`
+        // as campaign specs; a refused open leaves the connection usable.
+        let daemon = Daemon::new(ServerConfig::default());
+        let mut conn = daemon.connect_loopback();
+        let mut zero_runs = open_spec(5);
+        zero_runs.runs = 0;
+        let mut negative_sigma = open_spec(5);
+        negative_sigma.sigma = -0.5;
+        for (field, bad) in [("runs", zero_runs), ("sigma", negative_sigma)] {
+            codec::write_request(&mut conn, Request::Open(bad)).unwrap();
+            let Response::Error(e) = codec::read_response(&mut conn).unwrap() else {
+                panic!("expected error");
+            };
+            match e.error {
+                bat_core::Error::Spec(msg) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("expected a spec error, got {other:?}"),
+            }
+        }
+        open_raw(&mut conn, open_spec(5));
+    }
+
+    #[test]
     fn cache_lookup_serves_loaded_cells_and_misses_cleanly() {
         let scenario = "objective=time;budget=40;runs=3;sigma=0.01;noise_seed=0;batch=1";
         let mut store = bat_cache::CacheStore::new();
