@@ -124,9 +124,11 @@ pub fn trial_fingerprint(spec: &ExperimentSpec, ct: &CompiledTrial) -> String {
 /// measurements to the (benchmark, architecture, scenario) cell — the full
 /// per-evaluation history when the record level kept it, the best-so-far
 /// curve otherwise — plus their evaluation count, and are stored verbatim
-/// as replay blobs.
-pub fn fold_run_into_cache(store: &mut CacheStore, result: &CampaignResult) {
+/// as replay blobs. Returns whether any trial was new, that is whether the
+/// store changed.
+pub fn fold_run_into_cache(store: &mut CacheStore, result: &CampaignResult) -> bool {
     let scenario = scenario_of(&result.spec);
+    let mut changed = false;
     for trial in &result.trials {
         let fingerprint = fingerprint_parts(
             &scenario,
@@ -189,7 +191,9 @@ pub fn fold_run_into_cache(store: &mut CacheStore, result: &CampaignResult) {
             architecture: trial.architecture.clone(),
             record: trial.to_value(),
         });
+        changed = true;
     }
+    changed
 }
 
 /// Synthesize a resume prior from the cache: every compiled trial of
@@ -307,10 +311,22 @@ mod tests {
 
         let prior = cache_prior(&store, &s).expect("full hit");
         assert_eq!(prior.trials, run.result.trials);
-        // Folding again (or folding the warm run) adds nothing.
+    }
+
+    #[test]
+    fn fold_reports_whether_it_changed_the_store() {
+        let s = spec();
+        let run = run_campaign(&s).unwrap();
+        let mut store = CacheStore::new();
+        assert!(fold_run_into_cache(&mut store, &run.result));
+        // Folding again (or folding the warm run) adds nothing, and says so.
         let before = store.to_json();
-        fold_run_into_cache(&mut store, &run.result);
+        assert!(!fold_run_into_cache(&mut store, &run.result));
         assert_eq!(store.to_json(), before);
+        // A run with new fingerprints changes the store again.
+        let reseeded = run_campaign(&ExperimentSpec { seed: 1, ..s }).unwrap();
+        assert!(fold_run_into_cache(&mut store, &reseeded.result));
+        assert_ne!(store.to_json(), before);
     }
 
     #[test]

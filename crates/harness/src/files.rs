@@ -123,11 +123,9 @@ pub fn run_spec_to_file_cached(
     }
 
     if let (Some(path), Some(store)) = (cache, store.as_mut()) {
-        let before = store.to_json();
-        fold_run_into_cache(store, &run.result);
         // Skip the write when nothing changed (fully-warm runs) so a
         // shipped cache can sit on read-only media.
-        if store.to_json() != before {
+        if fold_run_into_cache(store, &run.result) {
             store.save_atomic(path).map_err(cache_error)?;
         }
     }

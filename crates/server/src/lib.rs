@@ -238,6 +238,29 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_string_frame_does_not_take_the_daemon_down() {
+        // A 4 MiB JSON string is a well-formed document but no request. The
+        // parser is linear in the frame, so the refusal comes back quickly.
+        let daemon = Daemon::new(ServerConfig::default());
+        let mut hostile = daemon.connect_loopback();
+        let payload = format!("\"{}\"", "x".repeat(4 << 20));
+        let start = std::time::Instant::now();
+        hostile
+            .write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        hostile.write_all(payload.as_bytes()).unwrap();
+        let Response::Error(e) = codec::read_response(&mut hostile).unwrap() else {
+            panic!("expected error");
+        };
+        let elapsed = start.elapsed();
+        assert!(matches!(e.error, bat_core::Error::Wire(_)), "{:?}", e.error);
+        assert!(elapsed.as_secs() < 20, "took {elapsed:?}");
+        let mut conn = daemon.connect_loopback();
+        codec::write_request(&mut conn, Request::Ping).unwrap();
+        assert_eq!(codec::read_response(&mut conn).unwrap(), Response::Pong);
+    }
+
+    #[test]
     fn unknown_session_and_benchmark_are_typed_errors() {
         let daemon = Daemon::new(ServerConfig::default());
         let mut conn = daemon.connect_loopback();
