@@ -8,15 +8,19 @@
 //! recorder or the file flow must leave every value in [`DIGESTS`]
 //! untouched; a change that legitimately moves an artifact has to update
 //! this table and say why.
+//!
+//! The `gp-bo-ei` legs pin the one surrogate tuner whose model code is
+//! most often optimized: any change to the GP's floating-point operation
+//! order shows up here as a moved digest.
 
 use std::path::PathBuf;
 
 use bat::harness::{load_spec_file, run_spec_to_file_cached, Endpoint, ExperimentSpec};
 
-/// `(leg, file, FNV-64 digest)`. Legs are the committed smoke specs, plus
-/// ci-smoke at `protocol.batch = 8`; files are the artifact and its
-/// metadata document.
-const DIGESTS: [(&str, &str, u64); 10] = [
+/// `(leg, file, FNV-64 digest)`. Legs are the committed smoke specs,
+/// ci-smoke at `protocol.batch = 8`, and the inline [`GP_BO_EI_SPEC`] at
+/// batch 1 and 4; files are the artifact and its metadata document.
+const DIGESTS: [(&str, &str, u64); 14] = [
     ("ci-smoke", "artifact", 0xeab7_40c1_ce15_98a9),
     ("ci-smoke", "meta", 0xae1a_95de_25c1_0875),
     ("ci-smoke-batch-8", "artifact", 0x4427_2340_d36f_6531),
@@ -27,7 +31,26 @@ const DIGESTS: [(&str, &str, u64); 10] = [
     ("chaos-smoke", "meta", 0x87ca_2cb7_9bca_bf91),
     ("cache-transfer", "artifact", 0x79e0_fc2f_2241_bc12),
     ("cache-transfer", "meta", 0xb6cb_cd99_6eec_a24f),
+    ("gp-bo-ei", "artifact", 0x47f0_e07c_c219_e49d),
+    ("gp-bo-ei", "meta", 0x1fad_2379_273b_0846),
+    ("gp-bo-ei-batch-4", "artifact", 0x8948_489d_aab9_b79b),
+    ("gp-bo-ei-batch-4", "meta", 0x1fad_2379_273b_0846),
 ];
+
+/// Gaussian-process Bayesian optimization alone, sized so both batch
+/// legs together stay within a few seconds in a debug build.
+const GP_BO_EI_SPEC: &str = r#"{
+  "schema": "bat/campaign-spec/v1",
+  "name": "gp-bo-ei-digest",
+  "seed": 17,
+  "tuners": ["gp-bo-ei"],
+  "benchmarks": ["pnpoly", "nbody", "gemm"],
+  "architectures": ["RTX 3090"],
+  "budget": 60,
+  "repetitions": 1,
+  "seed_policy": "derived",
+  "record": "full"
+}"#;
 
 /// The ci-smoke `--cache` store after one cold run from an empty cache.
 const CI_SMOKE_COLD_CACHE: u64 = 0x4466_c3db_1d97_fc66;
@@ -110,6 +133,18 @@ fn smoke_spec_artifacts_match_committed_digests() {
         None,
     );
     assert_leg("ci-smoke-batch-8", got);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn gp_bo_ei_artifacts_match_committed_digests() {
+    let dir = scratch("gp-bo-ei");
+    let mut spec = ExperimentSpec::from_json(GP_BO_EI_SPEC).unwrap();
+    for (leg, batch) in [("gp-bo-ei", 1), ("gp-bo-ei-batch-4", 4)] {
+        spec.protocol.set_batch(batch);
+        let got = run_leg(&dir, leg, &spec, &Endpoint::InProcess, None);
+        assert_leg(leg, got);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
