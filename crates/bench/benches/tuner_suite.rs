@@ -7,7 +7,7 @@
 //! kernel measurements; the paper's interface argument only holds if the
 //! harness itself stays cheap relative to a kernel launch.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use bat_analysis::{
@@ -48,17 +48,51 @@ fn gp_fit(c: &mut Criterion) {
             b.iter(|| black_box(GaussianProcess::fit(&rows, &ys, &fixed)))
         });
     }
+    // A fixed-hyperparameter step of gp-bo-ei: the previous model grows by
+    // one observation inside its ranges, so its factor is extended by one
+    // row instead of recomputed (compare with `fixed_fit_n100`/`n200`).
+    let (mut rows, mut ys) = training_rows(150);
+    let fixed = GpParams::fixed(KernelKind::Matern52, 0.35, 1e-3);
+    let prev = GaussianProcess::fit(&rows, &ys, &fixed);
+    let (pool, pool_ys) = training_rows(400);
+    let (row, y) = pool
+        .iter()
+        .zip(&pool_ys)
+        .skip(150)
+        .find(|(r, _)| within_ranges(r, &rows))
+        .expect("a later landscape sample inside the first 150's ranges");
+    rows.push(row.clone());
+    ys.push(*y);
+    g.bench_function("extend_n150", |b| {
+        b.iter_batched(
+            || prev.clone(),
+            |gp| black_box(gp.refit(&rows, &ys, &fixed)),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
-/// GP posterior prediction (per-candidate cost of acquisition scoring).
+/// Whether every feature of `row` lies within the per-column range of `rows`.
+fn within_ranges(row: &[f64], rows: &[Vec<f64>]) -> bool {
+    row.iter().enumerate().all(|(j, &v)| {
+        let col = rows.iter().map(|r| r[j]);
+        col.clone().fold(f64::INFINITY, f64::min) <= v && v <= col.fold(f64::NEG_INFINITY, f64::max)
+    })
+}
+
+/// GP posterior prediction: one candidate, and a gp-bo-ei-sized pool of
+/// 250 candidates scored as one batch.
 fn gp_predict(c: &mut Criterion) {
-    let (rows, ys) = training_rows(150);
-    let gp = GaussianProcess::fit(&rows, &ys, &GpParams::default());
+    let (rows, ys) = training_rows(400);
+    let gp = GaussianProcess::fit(&rows[..150], &ys[..150], &GpParams::default());
+    let pool = &rows[150..];
+    assert_eq!(pool.len(), 250);
     let mut g = c.benchmark_group("tuner_gp_predict");
     g.bench_function("posterior_n150", |b| {
         b.iter(|| black_box(gp.predict(&rows[7])))
     });
+    g.bench_function("pool_n150", |b| b.iter(|| black_box(gp.predict_many(pool))));
     g.finish();
 }
 

@@ -23,6 +23,11 @@ use crate::wire::{Request, RequestEnvelope, Response, ResponseEnvelope, WIRE_SCH
 /// length prefix before allocating for it.
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// Payload capacity reserved before any payload byte arrives (64 KiB): a
+/// normal frame fits in one allocation, an announced-but-unsent one costs
+/// no more than this.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Write one `value` as a length-prefixed JSON frame.
 pub fn write_frame<W: Write + ?Sized, T: Serialize>(w: &mut W, value: &T) -> Result<(), Error> {
     let json = serde_json::to_string(value).map_err(Error::wire)?;
@@ -66,17 +71,16 @@ pub fn read_frame<R: Read + ?Sized, T: Deserialize>(r: &mut R) -> Result<T, Erro
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"
         )));
     }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut payload[got..]).map_err(Error::transport)? {
-            0 => {
-                return Err(Error::transport(format!(
-                    "truncated frame: EOF after {got} of {len} payload bytes"
-                )))
-            }
-            n => got += n,
-        }
+    // Grow the buffer as bytes arrive: a peer that announces a large frame
+    // and then stalls or hangs up costs what it sent, not what it announced.
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    let got = Read::take(&mut *r, len as u64)
+        .read_to_end(&mut payload)
+        .map_err(Error::transport)?;
+    if got < len {
+        return Err(Error::transport(format!(
+            "truncated frame: EOF after {got} of {len} payload bytes"
+        )));
     }
     let json = std::str::from_utf8(&payload)
         .map_err(|e| Error::wire(format!("frame is not UTF-8: {e}")))?;
@@ -163,6 +167,38 @@ mod tests {
         // Chop mid-length-prefix.
         let err = read_request(&mut Cursor::new(&buf[..2])).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    /// A reader that records the largest buffer it was asked to fill.
+    struct Widest<R> {
+        inner: R,
+        widest: usize,
+    }
+
+    impl<R: Read> Read for Widest<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_announced_max_frame_cut_short_is_a_truncated_frame() {
+        let mut buf = Vec::from((MAX_FRAME as u32).to_be_bytes());
+        buf.extend_from_slice(&[b' '; 1024]);
+        let mut peer = Widest {
+            inner: Cursor::new(&buf),
+            widest: 0,
+        };
+        let err = read_request(&mut peer).unwrap_err();
+        // The reader never had a buffer of the announced size to fill.
+        assert!(peer.widest <= READ_CHUNK, "asked for {} bytes", peer.widest);
+        assert!(matches!(err, Error::Transport(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("truncated frame") && msg.contains("1024 of 16777216"),
+            "{msg}"
+        );
     }
 
     #[test]

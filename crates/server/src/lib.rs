@@ -261,6 +261,23 @@ mod tests {
     }
 
     #[test]
+    fn an_announced_max_frame_that_never_arrives_does_not_take_the_daemon_down() {
+        // The peer announces the largest legal frame, sends 1 KiB and hangs
+        // up. The connection thread sees a truncated frame (a transport
+        // error, so it just ends the connection) and the daemon serves on.
+        let daemon = Daemon::new(ServerConfig::default());
+        let mut hostile = daemon.connect_loopback();
+        hostile
+            .write_all(&(codec::MAX_FRAME as u32).to_be_bytes())
+            .unwrap();
+        hostile.write_all(&[b' '; 1024]).unwrap();
+        drop(hostile);
+        let mut conn = daemon.connect_loopback();
+        codec::write_request(&mut conn, Request::Ping).unwrap();
+        assert_eq!(codec::read_response(&mut conn).unwrap(), Response::Pong);
+    }
+
+    #[test]
     fn unknown_session_and_benchmark_are_typed_errors() {
         let daemon = Daemon::new(ServerConfig::default());
         let mut conn = daemon.connect_loopback();

@@ -6,12 +6,18 @@
 //! exploiting the predicted-fast region against exploring where the model is
 //! uncertain.
 //!
-//! The GP is exact, so each posterior update is O(n³) in the number of
-//! observations; hyperparameters are re-selected from a grid every
-//! [`BayesianOptimization::hyper_refit_every`] observations, and the
-//! training set is capped at [`BayesianOptimization::max_observations`]
-//! (keeping the best observations plus a random subsample, so the incumbent
-//! region stays well modelled).
+//! The GP is exact. Hyperparameters are re-selected from a grid every
+//! [`BayesianOptimization::hyper_refit_every`] observations; such a grid
+//! step costs O(n³) per grid point in the number of observations. The
+//! steps in between keep the hyperparameters fixed and reuse the previous
+//! step's model: while the per-dimension ranges of the observations are
+//! stable, the new observations are appended to its Cholesky factor, so a
+//! fixed step costs O(n²) (see [`GaussianProcess::refit`]). The training
+//! set is capped at [`BayesianOptimization::max_observations`] (keeping
+//! the best observations plus a random subsample, so the incumbent region
+//! stays well modelled); a capped, reshuffled set is refit from scratch.
+//! Each step scores its whole candidate pool with one
+//! [`GaussianProcess::predict_many`] call.
 
 use std::collections::HashSet;
 
@@ -117,7 +123,7 @@ impl Default for BayesianOptimization {
 }
 
 /// GP features of a configuration: *ordinal positions* per parameter, not
-/// raw values. Tuning parameters are mostly geometric sequences (1, 2, 4,
+/// raw values (candidates drawn as positions use them directly). Tuning parameters are mostly geometric sequences (1, 2, 4,
 /// …, 1024); positions make them uniformly spaced, which is the encoding
 /// GP-based kernel tuning uses in practice (ref \[22\]) — with raw values a
 /// single lengthscale cannot serve both ends of the sequence.
@@ -168,6 +174,8 @@ struct BayesStep<'a> {
     seen: HashSet<u64>,
     hyper: Option<(f64, f64)>, // (lengthscale, noise)
     obs_at_last_grid_fit: usize,
+    /// The previous step's model, extended by the next fixed step.
+    gp: Option<GaussianProcess>,
     warmup_left: usize,
 }
 
@@ -205,49 +213,64 @@ impl StepTuner for BayesStep<'_> {
             let (ell, noise) = self.hyper.expect("set when not due");
             GpParams::fixed(self.cfg.kernel, ell, noise)
         };
-        let gp = GaussianProcess::fit(&tx, &ty, &params);
+        let gp = match self.gp.take() {
+            Some(prev) => prev.refit(&tx, &ty, &params),
+            None => GaussianProcess::fit(&tx, &ty, &params),
+        };
         if grid_due {
             self.hyper = Some((gp.lengthscale(), gp.noise()));
             self.obs_at_last_grid_fit = self.obs.y.len();
         }
 
         // Candidate pool: random configurations plus Hamming-1 neighbours
-        // of the incumbent (local refinement, as in SMAC/ref [22]).
-        let mut candidates: Vec<u64> = (0..self.cfg.pool)
-            .map(|_| {
-                ordinal::index_of(
-                    self.space,
-                    &ordinal::random_positions(self.space, &mut self.rng),
-                )
-            })
-            .collect();
+        // of the incumbent (local refinement, as in SMAC/ref [22]). Unseen
+        // candidates keep their drawn positions as GP features, one row of
+        // `features` each.
+        let params = self.space.params();
+        let mut unseen: Vec<u64> = Vec::new();
+        let mut features: Vec<f64> = Vec::new();
+        let (space, seen) = (self.space, &self.seen);
+        let mut consider = |pos: &[usize]| {
+            let idx = ordinal::index_of(space, pos);
+            if !seen.contains(&idx) {
+                unseen.push(idx);
+                features.extend(pos.iter().map(|&p| p as f64));
+            }
+        };
+        let mut pos = vec![0; params.len()];
+        for _ in 0..self.cfg.pool {
+            for (p, param) in pos.iter_mut().zip(params) {
+                *p = self.rng.random_range(0..param.len());
+            }
+            consider(&pos);
+        }
         if let Some(bi) = self.best_idx {
-            let pos = ordinal::positions_of(self.space, bi);
-            for i in 0..pos.len() {
-                for alt in 0..self.space.params()[i].len() {
-                    if alt != pos[i] {
-                        let mut p = pos.clone();
-                        p[i] = alt;
-                        candidates.push(ordinal::index_of(self.space, &p));
-                    }
+            let best = ordinal::positions_of(space, bi);
+            for (i, param) in params.iter().enumerate() {
+                for alt in (0..param.len()).filter(|&alt| alt != best[i]) {
+                    pos.copy_from_slice(&best);
+                    pos[i] = alt;
+                    consider(&pos);
                 }
             }
         }
+        let features: Vec<&[f64]> = features.chunks_exact(params.len()).collect();
 
         // Score unseen candidates; ask the top `batch` distinct (stable
         // order, so `batch = 1` is the classic first-strict-maximum pick).
-        let mut scored: Vec<(f64, u64)> = Vec::new();
-        for &idx in &candidates {
-            if self.seen.contains(&idx) {
-                continue;
-            }
-            let p = gp.predict(&gp_features(self.space, idx));
-            let s = self
-                .cfg
-                .acquisition
-                .score(p.mean, p.std_dev(), self.best_log);
-            scored.push((s, idx));
-        }
+        let scored: Vec<(f64, u64)> = gp
+            .predict_many(&features)
+            .iter()
+            .zip(unseen)
+            .map(|(p, idx)| {
+                let s = self
+                    .cfg
+                    .acquisition
+                    .score(p.mean, p.std_dev(), self.best_log);
+                (s, idx)
+            })
+            .collect();
+        self.gp = Some(gp);
         let mut out = crate::step::take_top_distinct(scored, ctx.batch, false);
         if out.is_empty() {
             // Whole pool already evaluated (tiny spaces): fall back to a
@@ -299,6 +322,7 @@ impl Tuner for BayesianOptimization {
             seen: HashSet::new(),
             hyper: None,
             obs_at_last_grid_fit: 0,
+            gp: None,
             warmup_left: self.warmup,
         })
     }
