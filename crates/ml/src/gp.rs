@@ -24,10 +24,10 @@
 //! - [`GaussianProcess::refit`] with the previous model's hyperparameters
 //!   appends the new rows to its Cholesky factor (packed storage, see
 //!   [`crate::linalg`]) instead of refactoring: O(m·n²) for `m` new rows.
-//! - [`GaussianProcess::predict_many`] scores candidates in blocks of
-//!   16 candidates: one `n × 16` block of `k*` columns, means
-//!   accumulated column-wise with `α`, and one forward substitution for all
-//!   `B` columns at once. [`GaussianProcess::predict`] is a block of one.
+//! - [`GaussianProcess::predict_many`] scores candidates in blocks of 16:
+//!   one `n × 16` block of `k*` columns, means accumulated column-wise
+//!   with `α`, and one forward substitution for all 16 columns at once.
+//!   [`GaussianProcess::predict`] is a block of one.
 
 use crate::linalg::{row_start, sq_dist, Cholesky};
 
@@ -368,11 +368,11 @@ impl GaussianProcess {
     /// Posterior mean and latent variance at each of `rows` (raw input
     /// units), in order.
     ///
-    /// Works in blocks of [`BLOCK`] candidates (a single row is a block of
-    /// one): the block's `k*` columns fill one reusable `n × BLOCK`
-    /// buffer, the means accumulate column-wise with `α` while it fills,
-    /// and one left-looking forward substitution `v = L⁻¹ k*` (row `i` of
-    /// `L` against block rows `< i`) overwrites it in place while `vᵀv`
+    /// Works in blocks of 16 candidates (a single row is a block of one):
+    /// the block's `k*` columns fill one reusable `n × 16` buffer, the
+    /// means accumulate column-wise with `α` while it fills, and one
+    /// left-looking forward substitution `v = L⁻¹ k*` (row `i` of `L`
+    /// against block rows `< i`) overwrites it in place while `vᵀv`
     /// accumulates. Each column keeps the per-candidate summation order, so
     /// every prediction is bit-identical to scoring that candidate alone.
     ///
@@ -411,10 +411,8 @@ impl GaussianProcess {
             // Columns past the chunk hold stale values from an earlier
             // block; they run through every step and are never read out.
             let mut mean = [0.0; W];
-            for (krow, (xi, &a)) in block
-                .chunks_exact_mut(W)
-                .zip(self.x.chunks_exact(d.max(1)).zip(&self.alpha))
-            {
+            for (i, (krow, &a)) in block.chunks_exact_mut(W).zip(&self.alpha).enumerate() {
+                let xi = &self.x[i * d..(i + 1) * d];
                 // `sq_dist(q_c, x_i)` for all c at once, in feature order.
                 let mut d2 = [0.0; W];
                 for (&xij, qj) in xi.iter().zip(qt.chunks_exact(W)) {
@@ -562,7 +560,7 @@ mod tests {
         #[test]
         fn predict_many_matches_the_per_candidate_oracle_bitwise(
             n in 1usize..30,
-            d in 1usize..5,
+            d in 0usize..5,
             vals in proptest::collection::vec(0u8..6, 30 * 4),
             ys in proptest::collection::vec(-3.0f64..3.0, 30),
             pool_pick in 0usize..4,

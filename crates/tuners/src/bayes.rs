@@ -123,10 +123,11 @@ impl Default for BayesianOptimization {
 }
 
 /// GP features of a configuration: *ordinal positions* per parameter, not
-/// raw values (candidates drawn as positions use them directly). Tuning parameters are mostly geometric sequences (1, 2, 4,
+/// raw values. Tuning parameters are mostly geometric sequences (1, 2, 4,
 /// …, 1024); positions make them uniformly spaced, which is the encoding
 /// GP-based kernel tuning uses in practice (ref \[22\]) — with raw values a
-/// single lengthscale cannot serve both ends of the sequence.
+/// single lengthscale cannot serve both ends of the sequence. Candidates
+/// drawn as positions use those positions directly.
 fn gp_features(space: &bat_space::ConfigSpace, index: u64) -> Vec<f64> {
     ordinal::positions_of(space, index)
         .into_iter()
