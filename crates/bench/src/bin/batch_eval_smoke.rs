@@ -10,6 +10,7 @@ use std::time::Instant;
 
 use bat_core::{Evaluator, Protocol, TuningProblem};
 use bat_gpusim::GpuArch;
+use bat_harness::Args;
 
 /// Batch sizes the gate times (matching the committed baseline).
 const BATCHES: [usize; 4] = [8, 64, 256, 1024];
@@ -135,12 +136,13 @@ fn baseline_rates(json: &str) -> Vec<(usize, f64)> {
 }
 
 fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse(&argv, &["--write", "--check"], &[]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("batch_eval_smoke: {e}");
+            return std::process::ExitCode::from(2);
+        }
     };
 
     let measured = measure();
@@ -148,7 +150,7 @@ fn main() -> std::process::ExitCode {
         println!("batch {batch:5}: {:.2} M evals/s", rate / 1e6);
     }
 
-    if let Some(path) = opt("--write") {
+    if let Some(path) = args.get("--write") {
         let scaling = measure_scaling();
         for (threads, rate, util) in &scaling {
             println!(
@@ -182,15 +184,15 @@ fn main() -> std::process::ExitCode {
             ));
         }
         body.push_str("  }\n}\n");
-        if let Err(e) = std::fs::write(&path, body) {
+        if let Err(e) = std::fs::write(path, body) {
             eprintln!("batch_eval_smoke: cannot write {path}: {e}");
             return std::process::ExitCode::FAILURE;
         }
         println!("baseline written to {path}");
     }
 
-    if let Some(path) = opt("--check") {
-        let json = match std::fs::read_to_string(&path) {
+    if let Some(path) = args.get("--check") {
+        let json = match std::fs::read_to_string(path) {
             Ok(j) => j,
             Err(e) => {
                 eprintln!("batch_eval_smoke: cannot read {path}: {e}");

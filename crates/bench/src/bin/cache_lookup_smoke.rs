@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bat_cache::{CacheIndex, CacheStore};
+use bat_harness::Args;
 
 /// Cells in the synthetic store (a realistic shipped-cache size: every
 /// benchmark × architecture × a few dozen scenarios).
@@ -143,12 +144,13 @@ fn baseline_rate(json: &str) -> Option<f64> {
 }
 
 fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse(&argv, &["--write", "--check"], &[]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("cache_lookup_smoke: {e}");
+            return std::process::ExitCode::from(2);
+        }
     };
 
     let store = build_store();
@@ -161,7 +163,7 @@ fn main() -> std::process::ExitCode {
         index.len()
     );
 
-    if let Some(path) = opt("--write") {
+    if let Some(path) = args.get("--write") {
         let scaling = measure_readers(&index, &keys);
         for (readers, agg) in &scaling {
             println!("readers {readers}: {:.2} M lookups/s aggregate", agg / 1e6);
@@ -177,15 +179,15 @@ fn main() -> std::process::ExitCode {
             body.push_str(&format!("    \"readers_{readers}\": {agg:.0}{sep}\n"));
         }
         body.push_str("  }\n}\n");
-        if let Err(e) = std::fs::write(&path, body) {
+        if let Err(e) = std::fs::write(path, body) {
             eprintln!("cache_lookup_smoke: cannot write {path}: {e}");
             return std::process::ExitCode::FAILURE;
         }
         println!("baseline written to {path}");
     }
 
-    if let Some(path) = opt("--check") {
-        let json = match std::fs::read_to_string(&path) {
+    if let Some(path) = args.get("--check") {
+        let json = match std::fs::read_to_string(path) {
             Ok(j) => j,
             Err(e) => {
                 eprintln!("cache_lookup_smoke: cannot read {path}: {e}");

@@ -7,20 +7,22 @@ use bat_analysis::{
     random_search_convergence, reduce_space, FitnessFlowGraph, Landscape, PageRankParams,
     PerformanceDistribution,
 };
+use std::process::ExitCode;
+
 use bat_core::{Error, Protocol, TuningProblem};
 use bat_harness::{
-    run_campaign, CampaignSummary, ExperimentSpec, RecordLevel, SeedPolicy, Selector,
+    run_campaign, Args, CampaignSummary, ExperimentSpec, RecordLevel, SeedPolicy, Selector,
 };
 use bat_space::Neighborhood;
-use bat_tuners::default_tuners;
+use bat_tuners::{default_tuners, Tuner};
 
 use crate::ctx::{
-    bench_on, f, paper_landscape, pct, print_table, selected_archs, selected_benches, Opts,
+    bench_on, f, paper_landscape, pct, print_table, selected_archs, selected_benches,
     EXHAUSTIVE_BENCHES,
 };
 
 /// `bat list` — benchmarks, spaces, architectures.
-pub fn cmd_list(_opts: &Opts) {
+pub fn cmd_list(_args: &Args) -> Result<ExitCode, Error> {
     println!("BAT-rs benchmark suite (BAT 2.0 reproduction)\n");
     println!("Benchmarks:");
     let mut rows = Vec::new();
@@ -72,11 +74,12 @@ pub fn cmd_list(_opts: &Opts) {
     for t in bat_moo::moo_tuners() {
         println!("  {}", t.name());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat tables` — Tables I–VII (the tunable parameter spaces).
-pub fn cmd_tables(opts: &Opts) {
-    for name in selected_benches(opts) {
+pub fn cmd_tables(args: &Args) -> Result<ExitCode, Error> {
+    for name in selected_benches(args)? {
         let k = bat_kernels::kernel_by_name(&name).unwrap();
         let s = k.build_space();
         println!("\nTable: tunable parameters — {name} kernel");
@@ -103,17 +106,18 @@ pub fn cmd_tables(opts: &Opts) {
         }
         println!("  cardinality: {}", s.cardinality());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat table8` — search-space sizes (cardinality, constrained, valid,
 /// reduced, reduce-constrained).
-pub fn cmd_table8(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let archs = selected_archs(opts);
+pub fn cmd_table8(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
+    let archs = selected_archs(args)?;
     println!("Table VIII: search space sizes of benchmarks in BAT-rs\n");
     let mut rows = Vec::new();
-    for name in selected_benches(opts) {
+    for name in selected_benches(args)? {
         let k = bat_kernels::kernel_by_name(&name).unwrap();
         let space = k.build_space();
         let cardinality = space.cardinality();
@@ -125,7 +129,7 @@ pub fn cmd_table8(opts: &Opts) {
             let mut lo = u64::MAX;
             let mut hi = 0u64;
             for arch in &archs {
-                let b = bench_on(&name, arch);
+                let b = bench_on(&name, arch)?;
                 let l = Landscape::exhaustive(&b);
                 let v = l.valid_count() as u64;
                 lo = lo.min(v);
@@ -145,7 +149,7 @@ pub fn cmd_table8(opts: &Opts) {
         let mut best_cfg: Option<Vec<i64>> = None;
         let mut best_time = f64::INFINITY;
         for arch in &archs {
-            let b = bench_on(&name, arch);
+            let b = bench_on(&name, arch)?;
             let l = paper_landscape(&b, samples, seed);
             if let Some(fi) = feature_importance(b.space(), &l, &default_gbdt_params(), 2, seed) {
                 per_arch.push((fi.pfi.feature_names.clone(), fi.pfi.importances.clone()));
@@ -190,20 +194,21 @@ pub fn cmd_table8(opts: &Opts) {
         ],
         &rows,
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig1` — performance distributions centred on the median config.
-pub fn cmd_fig1(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let bins = opts.get_usize("--bins", 20);
-    for name in selected_benches(opts) {
+pub fn cmd_fig1(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
+    let bins = args.get_or("--bins", 20)?;
+    for name in selected_benches(args)? {
         println!(
             "\nFig 1 ({name}): distribution of configuration performance (relative to median)"
         );
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(args)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let times = l.times();
             let Some(d) = PerformanceDistribution::from_times(&times, bins) else {
@@ -231,19 +236,20 @@ pub fn cmd_fig1(opts: &Opts) {
             &rows,
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig2` — random-search convergence curves.
-pub fn cmd_fig2(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let reps = opts.get_usize("--reps", 100);
-    let max_evals = opts.get_usize("--max-evals", 1000);
-    for name in selected_benches(opts) {
+pub fn cmd_fig2(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
+    let reps = args.get_or("--reps", 100)?;
+    let max_evals = args.get_or("--max-evals", 1000)?;
+    for name in selected_benches(args)? {
         println!("\nFig 2 ({name}): median best-so-far relative performance vs evaluations");
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(args)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let times: Vec<Option<f64>> = l.samples.iter().map(|s| s.time_ms).collect();
             let c = random_search_convergence(&times, max_evals, reps, seed);
@@ -275,13 +281,14 @@ pub fn cmd_fig2(opts: &Opts) {
             &rows,
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig3` — proportion of centrality (exhaustive benchmarks).
-pub fn cmd_fig3(opts: &Opts) {
-    let seed = opts.get_u64("--seed", 0);
-    let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+pub fn cmd_fig3(args: &Args) -> Result<ExitCode, Error> {
+    let seed = args.get_or("--seed", 0)?;
+    let benches = match args.get("--bench") {
+        Some(_) => selected_benches(args)?,
         // The paper computes the metric only where exhaustion was feasible.
         None => vec!["gemm".into(), "convolution".into(), "pnpoly".into()],
     };
@@ -289,9 +296,9 @@ pub fn cmd_fig3(opts: &Opts) {
     for name in benches {
         println!("\nFig 3 ({name}): proportion of centrality (p = 0.00 .. 0.50)");
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
-            let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), seed);
+        for arch in selected_archs(args)? {
+            let b = bench_on(&name, &arch)?;
+            let l = paper_landscape(&b, args.get_or("--samples", 10_000)?, seed);
             let g = FitnessFlowGraph::build(b.space(), &l, Neighborhood::HammingAny);
             if g.is_empty() {
                 rows.push(vec![arch.name.to_string(), "empty FFG".into()]);
@@ -310,19 +317,20 @@ pub fn cmd_fig3(opts: &Opts) {
         }
         print_table(&header, &rows);
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig4` — max speedup over the median configuration.
-pub fn cmd_fig4(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
+pub fn cmd_fig4(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
     println!("Fig 4: max speedup of optimum over median configuration\n");
-    let archs = selected_archs(opts);
+    let archs = selected_archs(args)?;
     let mut rows = Vec::new();
-    for name in selected_benches(opts) {
+    for name in selected_benches(args)? {
         let mut row = vec![name.clone()];
         for arch in &archs {
-            let b = bench_on(&name, arch);
+            let b = bench_on(&name, arch)?;
             let l = paper_landscape(&b, samples, seed);
             row.push(
                 max_speedup_over_median(&l)
@@ -335,20 +343,24 @@ pub fn cmd_fig4(opts: &Opts) {
     let mut header = vec!["benchmark".to_string()];
     header.extend(archs.iter().map(|a| a.name.to_string()));
     print_table(&header, &rows);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig5` — performance portability matrices.
-pub fn cmd_fig5(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+pub fn cmd_fig5(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
+    let benches = match args.get("--bench") {
+        Some(_) => selected_benches(args)?,
         None => vec!["convolution".into(), "pnpoly".into(), "nbody".into()],
     };
-    let archs = selected_archs(opts);
+    let archs = selected_archs(args)?;
     for name in benches {
         println!("\nFig 5 ({name}): portability of optimal configs (row = tuned on, col = run on)");
-        let problems: Vec<_> = archs.iter().map(|a| bench_on(&name, a)).collect();
+        let problems: Vec<_> = archs
+            .iter()
+            .map(|a| bench_on(&name, a))
+            .collect::<Result<_, _>>()?;
         let landscapes: Vec<_> = problems
             .iter()
             .map(|b| paper_landscape(b, samples, seed))
@@ -375,13 +387,14 @@ pub fn cmd_fig5(opts: &Opts) {
             );
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat fig6` — permutation feature importance per benchmark × GPU.
-pub fn cmd_fig6(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    for name in selected_benches(opts) {
+pub fn cmd_fig6(args: &Args) -> Result<ExitCode, Error> {
+    let samples = args.get_or("--samples", 10_000)?;
+    let seed = args.get_or("--seed", 0)?;
+    for name in selected_benches(args)? {
         println!(
             "\nFig 6 ({name}): permutation feature importance (GBDT regressor on log-runtime)"
         );
@@ -391,8 +404,8 @@ pub fn cmd_fig6(opts: &Opts) {
         header.extend(space.names().iter().cloned());
         header.push("Σ importance".into());
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(args)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let Some(fi) = feature_importance(b.space(), &l, &default_gbdt_params(), 2, seed)
             else {
@@ -408,6 +421,7 @@ pub fn cmd_fig6(opts: &Opts) {
         }
         print_table(&header, &rows);
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Build the sequential-seed campaign the comparison-style subcommands
@@ -421,14 +435,14 @@ fn comparison_spec(
     benches: &[String],
     archs: &[bat_gpusim::GpuArch],
     budget: u64,
-    repeats: u64,
+    repeats: u32,
 ) -> ExperimentSpec {
     ExperimentSpec {
         tuners: Selector::All,
         benchmarks: Selector::Subset(benches.iter().map(|b| b.to_ascii_lowercase()).collect()),
         architectures: Selector::Subset(archs.iter().map(|a| a.name.to_string()).collect()),
         budget,
-        repetitions: u32::try_from(repeats).expect("--repeats out of range"),
+        repetitions: repeats,
         seed_policy: SeedPolicy::Sequential,
         record: RecordLevel::Curve,
         ..ExperimentSpec::new(name)
@@ -437,34 +451,37 @@ fn comparison_spec(
 
 /// Parse and validate the CLI's `--batch` knob with the same rules the
 /// spec path applies: positive, and no wider than the budget.
-fn batch_arg(opts: &Opts, budget: u64) -> u32 {
-    let batch = opts.get_u64("--batch", 1);
-    assert!(batch >= 1, "--batch must be positive");
-    assert!(
-        batch <= budget,
-        "--batch {batch} exceeds the budget {budget}"
-    );
-    u32::try_from(batch).expect("--batch out of range")
+fn batch_arg(args: &Args, budget: u64) -> Result<u32, Error> {
+    let batch: u32 = args.get_or("--batch", 1)?;
+    if batch == 0 || u64::from(batch) > budget {
+        return Err(Error::spec(format!(
+            "--batch must be between 1 and the budget {budget}, got {batch}"
+        )));
+    }
+    Ok(batch)
+}
+
+/// The tuner `--tuner` names, or `default`.
+fn tuner_arg(args: &Args, default: &str) -> Result<Box<dyn Tuner>, Error> {
+    let name = args.get("--tuner").unwrap_or(default);
+    bat_harness::tuner_by_name(name)
+        .ok_or_else(|| Error::spec(format!("unknown tuner {name:?}; see `bat list`")))
 }
 
 /// `bat tune` — run one tuner on one benchmark (through the harness's
 /// shared tuning entry point).
-pub fn cmd_tune(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+pub fn cmd_tune(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("gemm");
+    let archs = selected_archs(args)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 500);
-    let seed = opts.get_u64("--seed", 0);
+    let budget = args.get_or("--budget", 500)?;
+    let seed = args.get_or("--seed", 0)?;
     // Measurement parallelism of the ask/tell protocol (1 = the classic
     // serial protocol, byte-identical to the historical output).
-    let batch = batch_arg(opts, budget);
-    let tuner_name = opts
-        .get("--tuner")
-        .unwrap_or_else(|| "random-search".into());
-    let tuner = bat_harness::tuner_by_name(&tuner_name)
-        .unwrap_or_else(|| panic!("unknown tuner {tuner_name:?}; see `bat list`"));
+    let batch = batch_arg(args, budget)?;
+    let tuner = tuner_arg(args, "random-search")?;
 
-    let b = bench_on(&bench, arch);
+    let b = bench_on(bench, arch)?;
     let protocol = Protocol::default().with_batch(batch);
     let (run, _stats) = bat_harness::run_tuning(&b, tuner.as_ref(), protocol, budget, seed, false);
     println!(
@@ -481,7 +498,7 @@ pub fn cmd_tune(opts: &Opts) {
             for (p, v) in b.space().names().iter().zip(&best.config) {
                 println!("  {p} = {v}");
             }
-            if opts.has("--source") {
+            if args.has("--source") {
                 println!(
                     "\ngenerated kernel source:\n{}",
                     b.spec().source(&best.config)
@@ -490,28 +507,29 @@ pub fn cmd_tune(opts: &Opts) {
         }
         None => println!("no valid configuration found within budget"),
     }
-    if opts.has("--json") {
+    if args.has("--json") {
         println!("{}", run.to_json());
     }
-    if opts.has("--t4") {
+    if args.has("--t4") {
         let t4 = bat_core::t4::T4Results::from_run(&run, b.space().names());
         println!("{}", t4.to_json());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat noise` — measurement-noise sensitivity: the noise-free quality of
 /// the configuration each protocol selects, across noise levels.
-pub fn cmd_noise(opts: &Opts) {
+pub fn cmd_noise(args: &Args) -> Result<ExitCode, Error> {
     // Convolution's dense near-optimal plateau makes it the benchmark
     // where noise actually flips selections; wide-margin benchmarks
     // (e.g. expdist) are noise-robust.
-    let bench = opts.get("--bench").unwrap_or_else(|| "convolution".into());
-    let archs = selected_archs(opts);
+    let bench = args.get("--bench").unwrap_or("convolution");
+    let archs = selected_archs(args)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 150);
-    let repeats = opts.get_u64("--repeats", 15);
-    let seed = opts.get_u64("--seed", 0);
-    let b = bench_on(&bench, arch);
+    let budget = args.get_or("--budget", 150)?;
+    let repeats = args.get_or("--repeats", 15)?;
+    let seed = args.get_or("--seed", 0)?;
+    let b = bench_on(bench, arch)?;
     let sigmas = [0.0, 0.01, 0.05, 0.10, 0.20, 0.40];
 
     println!(
@@ -552,31 +570,33 @@ pub fn cmd_noise(opts: &Opts) {
          show the winner's curse; 5 runs/config (the paper-style protocol) \
          defends against it."
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat t1` — print a benchmark's specification as a T1 JSON document
 /// (the BAT ecosystem's benchmark-definition format).
-pub fn cmd_t1(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let spec = bat_kernels::kernel_by_name(&bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench:?}; see `bat list`"));
+pub fn cmd_t1(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("gemm");
+    let spec = bat_kernels::kernel_by_name(bench)
+        .ok_or_else(|| Error::spec(format!("unknown benchmark {bench:?}; see `bat list`")))?;
     let doc = bat_kernels::t1::to_t1(spec.as_ref(), "CUDA");
     println!("{}", doc.to_json());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat difficulty` — classical landscape-difficulty metrics (FDC,
 /// random-walk autocorrelation, local-minima statistics) complementing
 /// the fig3 centrality metric.
-pub fn cmd_difficulty(opts: &Opts) {
+pub fn cmd_difficulty(args: &Args) -> Result<ExitCode, Error> {
     // Walk metrics need dense landscapes; default to the paper's four
     // exhaustively-searched benchmarks (same scoping as fig3's centrality).
-    let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+    let benches = match args.get("--bench") {
+        Some(_) => selected_benches(args)?,
         None => EXHAUSTIVE_BENCHES.iter().map(|s| s.to_string()).collect(),
     };
-    let archs = selected_archs(opts);
-    let samples = opts.get_usize("--samples", 3_000);
-    let seed = opts.get_u64("--seed", 0);
+    let archs = selected_archs(args)?;
+    let samples = args.get_or("--samples", 3_000)?;
+    let seed = args.get_or("--seed", 0)?;
 
     println!(
         "Landscape difficulty metrics (Hamming-any walks, {samples} samples for large spaces)\n"
@@ -593,7 +613,7 @@ pub fn cmd_difficulty(opts: &Opts) {
     let mut rows = Vec::new();
     for bench in &benches {
         for arch in &archs {
-            let b = bench_on(bench, arch);
+            let b = bench_on(bench, arch)?;
             let l = paper_landscape(&b, samples, seed);
             let r = bat_analysis::difficulty_default(b.space(), &l, seed);
             rows.push(vec![
@@ -622,35 +642,30 @@ pub fn cmd_difficulty(opts: &Opts) {
          autocorrelation (higher = smoother). min quality: mean t_opt/t_min \
          over local minima."
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat compare` — all tuners on one benchmark at equal budget.
-pub fn cmd_compare(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+pub fn cmd_compare(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("gemm");
+    let archs = selected_archs(args)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 300);
-    let seeds = opts.get_u64("--repeats", 5);
+    let budget = args.get_or("--budget", 300)?;
+    let seeds = args.get_or("--repeats", 5)?;
 
     println!(
         "Tuner comparison on {bench} / {} (budget {budget} evals, {seeds} repeats)\n",
         arch.name
     );
-    let b = bench_on(&bench, arch);
+    let b = bench_on(bench, arch)?;
     // Ground truth via exhaustive or heavy random sampling.
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), 0);
+    let l = paper_landscape(&b, args.get_or("--samples", 10_000)?, 0);
     let t_opt = l.best().map(|s| s.time_ms.unwrap()).unwrap_or(f64::NAN);
 
     // One declarative campaign replaces the bespoke (tuner × seed) loop;
     // sequential seeds reproduce the historical numbers exactly.
-    let spec = comparison_spec(
-        "compare",
-        std::slice::from_ref(&bench),
-        &archs[..1],
-        budget,
-        seeds,
-    );
-    let campaign = run_campaign(&spec).expect("comparison campaign").result;
+    let spec = comparison_spec("compare", &[bench.to_string()], &archs[..1], budget, seeds);
+    let campaign = run_campaign(&spec)?.result;
 
     let mut rows = Vec::new();
     for tuner in bat_harness::known_tuners() {
@@ -680,18 +695,21 @@ pub fn cmd_compare(opts: &Opts) {
         &rows,
     );
     println!("\n  sampled optimum: {t_opt:.4} ms");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat source` — print generated CUDA for a configuration.
-pub fn cmd_source(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let k = bat_kernels::kernel_by_name(&bench).unwrap();
+pub fn cmd_source(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("gemm");
+    let k = bat_kernels::kernel_by_name(bench)
+        .ok_or_else(|| Error::spec(format!("unknown benchmark {bench:?}; see `bat list`")))?;
     let space = k.build_space();
-    let config: Vec<i64> = match opts.get("--config") {
+    let config: Vec<i64> = match args.get("--config") {
         Some(s) => s
             .split(',')
-            .map(|v| v.trim().parse().expect("config values must be integers"))
-            .collect(),
+            .map(|v| v.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| Error::spec(format!("--config expects integers, got {s:?}")))?,
         None => {
             // Default: first valid configuration.
             let mut cfg = None;
@@ -706,20 +724,27 @@ pub fn cmd_source(opts: &Opts) {
             cfg.expect("no valid configuration")
         }
     };
-    assert_eq!(config.len(), space.num_params(), "config arity mismatch");
+    if config.len() != space.num_params() {
+        return Err(Error::spec(format!(
+            "--config expects {} values for {bench}, got {}",
+            space.num_params(),
+            config.len()
+        )));
+    }
     println!("{}", k.source(&config));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat convergence-tuners` — Fig 2-style curves for every tuner (an
 /// extension beyond the paper's random-search-only figure).
-pub fn cmd_convergence_tuners(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+pub fn cmd_convergence_tuners(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("gemm");
+    let archs = selected_archs(args)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 400);
-    let seeds = opts.get_u64("--repeats", 9);
-    let b = bench_on(&bench, arch);
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), 0);
+    let budget = args.get_or("--budget", 400)?;
+    let seeds = args.get_or("--repeats", 9)?;
+    let b = bench_on(bench, arch)?;
+    let l = paper_landscape(&b, args.get_or("--samples", 10_000)?, 0);
     let t_opt = l.best().map(|s| s.time_ms.unwrap()).unwrap_or(f64::NAN);
 
     println!(
@@ -731,12 +756,12 @@ pub fn cmd_convergence_tuners(opts: &Opts) {
     // probe, so no bespoke (tuner × seed) loop is needed.
     let spec = comparison_spec(
         "convergence",
-        std::slice::from_ref(&bench),
+        &[bench.to_string()],
         &archs[..1],
         budget,
         seeds,
     );
-    let campaign = run_campaign(&spec).expect("convergence campaign").result;
+    let campaign = run_campaign(&spec)?.result;
     let mut rows = Vec::new();
     for tuner in bat_harness::known_tuners() {
         let mut row = vec![tuner.clone()];
@@ -755,15 +780,16 @@ pub fn cmd_convergence_tuners(opts: &Opts) {
     let mut header = vec!["tuner".to_string()];
     header.extend(checkpoints.iter().map(|c| format!("@{c}")));
     print_table(&header, &rows);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat ranks` — cross-benchmark tuner ranking (Friedman-style mean
 /// ranks over all selected benchmarks and GPUs).
-pub fn cmd_ranks(opts: &Opts) {
-    let benches = selected_benches(opts);
-    let archs = selected_archs(opts);
-    let budget = opts.get_u64("--budget", 150);
-    let repeats = opts.get_u64("--repeats", 5);
+pub fn cmd_ranks(args: &Args) -> Result<ExitCode, Error> {
+    let benches = selected_benches(args)?;
+    let archs = selected_archs(args)?;
+    let budget = args.get_or("--budget", 150)?;
+    let repeats = args.get_or("--repeats", 5)?;
 
     println!(
         "Cross-benchmark tuner ranking (budget {budget} evals, {repeats} repeats, {} benchmark×GPU cells)\n",
@@ -773,7 +799,7 @@ pub fn cmd_ranks(opts: &Opts) {
     // Friedman-style rank reducer matches the comparison module's
     // aggregation (per-repetition ranks, failures last, ties averaged).
     let spec = comparison_spec("ranks", &benches, &archs, budget, repeats);
-    let campaign = run_campaign(&spec).expect("ranking campaign").result;
+    let campaign = run_campaign(&spec)?.result;
     let summary = CampaignSummary::from_result(&campaign);
     for cell in &summary.cells {
         println!(
@@ -793,6 +819,7 @@ pub fn cmd_ranks(opts: &Opts) {
             summary.tuners[t], summary.overall_rank[t]
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat pareto` — multi-objective tuning: the non-dominated time × energy
@@ -801,18 +828,16 @@ pub fn cmd_ranks(opts: &Opts) {
 /// Deterministic end to end: the tuner is seeded, measurements are
 /// deterministic, and the archive resolves ties by fixed keys — two
 /// invocations (at any thread count) print identical fronts.
-pub fn cmd_pareto(opts: &Opts) {
-    let budget = opts.get_u64("--budget", 300);
-    let seed = opts.get_u64("--seed", 0);
-    let capacity = opts.get_usize("--capacity", 16);
-    let batch = batch_arg(opts, budget);
-    let tuner_name = opts.get("--tuner").unwrap_or_else(|| "nsga2".into());
-    let tuner = bat_harness::tuner_by_name(&tuner_name)
-        .unwrap_or_else(|| panic!("unknown tuner {tuner_name:?}; see `bat list`"));
+pub fn cmd_pareto(args: &Args) -> Result<ExitCode, Error> {
+    let budget = args.get_or("--budget", 300)?;
+    let seed = args.get_or("--seed", 0)?;
+    let capacity = args.get_or("--capacity", 16)?;
+    let batch = batch_arg(args, budget)?;
+    let tuner = tuner_arg(args, "nsga2")?;
 
-    for bench in selected_benches(opts) {
-        for arch in selected_archs(opts) {
-            let b = bench_on(&bench, &arch);
+    for bench in selected_benches(args)? {
+        for arch in selected_archs(args)? {
+            let b = bench_on(&bench, &arch)?;
             let (run, stats) = bat_harness::run_tuning(
                 &b,
                 tuner.as_ref(),
@@ -880,6 +905,7 @@ pub fn cmd_pareto(opts: &Opts) {
             }
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat serve` — host tuning sessions as a long-running daemon. Clients
@@ -887,45 +913,18 @@ pub fn cmd_pareto(opts: &Opts) {
 /// or any `bat/wire/v1` speaker) open one session per connection, stream
 /// evaluation batches and read budget/statistics accounting; the daemon
 /// serves each connection on its own thread and schedules batches fairly
-/// across sessions. Unknown flags, stray arguments and flags missing their
-/// value are [`Error::Spec`]. Serves until a client sends a `shutdown`
-/// request.
-pub fn cmd_serve(args: &[String]) -> Result<(), Error> {
-    let mut addr = "127.0.0.1:4780";
-    let (mut threads, mut metrics, mut cache) = (None, None, None);
-    let mut config = bat_server::ServerConfig {
-        heartbeat_secs: 10,
-        ..Default::default()
+/// across sessions. Serves until a client sends a `shutdown` request.
+pub fn cmd_serve(args: &Args) -> Result<ExitCode, Error> {
+    let addr = args.get("--addr").unwrap_or("127.0.0.1:4780");
+    let slots = bat_server::ServerConfig::default().max_concurrent_batches;
+    let config = bat_server::ServerConfig {
+        max_concurrent_batches: args.get_or("--slots", slots)?,
+        heartbeat_secs: args.get_or("--heartbeat", 10)?,
     };
-    let mut flags = bat_harness::Flags::new(args);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--addr" => addr = flags.value(flag)?,
-            "--threads" => threads = Some(flags.value(flag)?),
-            "--metrics" => metrics = Some(flags.value(flag)?),
-            "--cache" => cache = Some(flags.value(flag)?),
-            "--slots" => {
-                let slots = flags.value(flag)?;
-                config.max_concurrent_batches = slots
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| {
-                        Error::spec(format!("--slots expects a positive integer, got {slots:?}"))
-                    })?;
-            }
-            "--heartbeat" => {
-                let secs = flags.value(flag)?;
-                config.heartbeat_secs = secs.parse().map_err(|_| {
-                    Error::spec(format!(
-                        "--heartbeat expects seconds (0 disables), got {secs:?}"
-                    ))
-                })?;
-            }
-            other => return Err(Error::spec(format!("unknown serve flag {other:?}"))),
-        }
+    if config.max_concurrent_batches == 0 {
+        return Err(Error::spec("--slots expects a positive integer, got 0"));
     }
-    if let Some(threads) = threads {
+    if let Some(threads) = args.get("--threads") {
         bat_harness::set_threads(threads)?;
     }
     let listener = std::net::TcpListener::bind(addr)
@@ -935,7 +934,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), Error> {
     println!("bat serve: listening on {local}");
     // `--metrics ADDR` exposes the process-wide registry as Prometheus
     // text exposition over plain HTTP, scrapeable while campaigns run.
-    if let Some(maddr) = metrics {
+    if let Some(maddr) = args.get("--metrics") {
         let mlistener = std::net::TcpListener::bind(maddr)
             .map_err(|e| Error::transport(format!("bind metrics {maddr}: {e}")))?;
         let mlocal = mlistener.local_addr().map_err(Error::io)?;
@@ -945,7 +944,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), Error> {
     // `--cache FILE` loads a shipped `bat/cache/v1` artifact into the
     // lock-free index; the daemon then answers wire-level `cache_lookup`
     // requests from it.
-    let cache = match cache {
+    let cache = match args.get("--cache") {
         Some(path) => {
             let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
             println!("bat serve: cache {path} loaded ({})", store.summary());
@@ -961,7 +960,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), Error> {
     };
     daemon.serve(listener)?;
     eprintln!("bat serve: shutdown requested, exiting");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Map a typed cache error onto the CLI's unified error hierarchy.
@@ -972,123 +971,102 @@ fn cache_error(e: bat_cache::CacheError) -> Error {
     }
 }
 
-/// `bat cache` — inspect, merge and slim `bat/cache/v1` artifacts.
-///
-/// * `inspect --input FILE [--bench B --arch A]` — summary plus one row
-///   per cell; with a benchmark and a target architecture it also ranks
-///   the cached donor architectures by machine-feature distance (the
-///   warm-start neighbour order).
-/// * `merge --inputs A,B,... --out FILE` — merge shard caches. The merge
-///   is commutative and associative, so any grouping of the same inputs
-///   produces the same bytes.
-/// * `evict --input FILE --out FILE` — drop the exact-replay trial blobs,
-///   keeping only the compact cells (the form to ship).
-pub fn cmd_cache(opts: &Opts) -> Result<(), Error> {
-    let sub = opts
-        .positional(0)
-        .ok_or_else(|| Error::spec("usage: bat cache <inspect|merge|evict> [options]"))?;
-    match sub.as_str() {
-        "inspect" => {
-            let path = opts
-                .get("--input")
-                .ok_or_else(|| Error::spec("cache inspect requires --input FILE"))?;
-            let store = bat_cache::CacheStore::load(&path).map_err(cache_error)?;
-            println!("{path}: {} ({})", store.summary(), store.schema);
-            let mut rows = Vec::new();
-            for cell in &store.cells {
-                let (ms, config) = match cell.best() {
-                    Some(best) => {
-                        let cfg: Vec<String> = best
-                            .config
-                            .iter()
-                            .map(|(k, v)| format!("{k}={v}"))
-                            .collect();
-                        (f(best.ms, 4), cfg.join(","))
-                    }
-                    None => ("-".into(), "-".into()),
-                };
-                rows.push(vec![
-                    cell.benchmark.clone(),
-                    cell.architecture.clone(),
-                    cell.scenario.clone(),
-                    cell.evals.to_string(),
-                    ms,
-                    config,
-                ]);
+/// `bat cache inspect --input FILE [--bench B --arch A]` — summary plus
+/// one row per cell of a `bat/cache/v1` artifact; with a benchmark and a
+/// target architecture it also ranks the cached donor architectures by
+/// machine-feature distance (the warm-start neighbour order).
+pub fn cmd_cache_inspect(args: &Args) -> Result<ExitCode, Error> {
+    let path = args.required("--input")?;
+    let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
+    println!("{path}: {} ({})", store.summary(), store.schema);
+    let mut rows = Vec::new();
+    for cell in &store.cells {
+        let (ms, config) = match cell.best() {
+            Some(best) => {
+                let cfg: Vec<String> = best
+                    .config
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect();
+                (f(best.ms, 4), cfg.join(","))
             }
-            print_table(
-                &[
-                    "benchmark".into(),
-                    "architecture".into(),
-                    "scenario".into(),
-                    "evals".into(),
-                    "best ms".into(),
-                    "best config".into(),
-                ],
-                &rows,
-            );
-            if let (Some(bench), Some(arch)) = (opts.get("--bench"), opts.get("--arch")) {
-                let target = bat_gpusim::GpuArch::by_name(&arch)
-                    .ok_or_else(|| Error::spec(format!("unknown GPU architecture {arch:?}")))?;
-                let near = bat_cache::transfer::nearest_architectures(&store, &bench, &target);
-                if near.is_empty() {
-                    println!("\nno cached donor architectures for {bench} on {arch}");
-                } else {
-                    println!("\nwarm-start donors for {bench} on {arch} (nearest first):");
-                    for (name, dist) in near {
-                        println!("  {name}  distance {dist:.4}");
-                    }
-                }
-            }
-            Ok(())
-        }
-        "merge" => {
-            let inputs = opts
-                .get("--inputs")
-                .ok_or_else(|| Error::spec("cache merge requires --inputs A,B,..."))?;
-            let out = opts
-                .get("--out")
-                .ok_or_else(|| Error::spec("cache merge requires --out FILE"))?;
-            let mut merged = bat_cache::CacheStore::new();
-            for path in inputs.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
-                merged.merge(&store);
-            }
-            merged.save_atomic(&out).map_err(cache_error)?;
-            println!("wrote {out} ({})", merged.summary());
-            Ok(())
-        }
-        "evict" => {
-            let input = opts
-                .get("--input")
-                .ok_or_else(|| Error::spec("cache evict requires --input FILE"))?;
-            let out = opts
-                .get("--out")
-                .ok_or_else(|| Error::spec("cache evict requires --out FILE"))?;
-            let mut store = bat_cache::CacheStore::load(&input).map_err(cache_error)?;
-            store.evict_trials();
-            store.save_atomic(&out).map_err(cache_error)?;
-            println!("wrote {out} ({})", store.summary());
-            Ok(())
-        }
-        other => Err(Error::spec(format!(
-            "unknown cache subcommand {other:?}; expected inspect, merge or evict"
-        ))),
+            None => ("-".into(), "-".into()),
+        };
+        rows.push(vec![
+            cell.benchmark.clone(),
+            cell.architecture.clone(),
+            cell.scenario.clone(),
+            cell.evals.to_string(),
+            ms,
+            config,
+        ]);
     }
+    print_table(
+        &[
+            "benchmark".into(),
+            "architecture".into(),
+            "scenario".into(),
+            "evals".into(),
+            "best ms".into(),
+            "best config".into(),
+        ],
+        &rows,
+    );
+    if let (Some(bench), Some(arch)) = (args.get("--bench"), args.get("--arch")) {
+        let target = bat_gpusim::GpuArch::by_name(arch)
+            .ok_or_else(|| Error::spec(format!("unknown GPU architecture {arch:?}")))?;
+        let near = bat_cache::transfer::nearest_architectures(&store, bench, &target);
+        if near.is_empty() {
+            println!("\nno cached donor architectures for {bench} on {arch}");
+        } else {
+            println!("\nwarm-start donors for {bench} on {arch} (nearest first):");
+            for (name, dist) in near {
+                println!("  {name}  distance {dist:.4}");
+            }
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `bat cache merge --inputs A,B,... --out FILE` — merge shard caches. The
+/// merge is commutative and associative, so any grouping of the same
+/// inputs produces the same bytes.
+pub fn cmd_cache_merge(args: &Args) -> Result<ExitCode, Error> {
+    let inputs = args.required("--inputs")?;
+    let out = args.required("--out")?;
+    let mut merged = bat_cache::CacheStore::new();
+    for path in inputs.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
+        merged.merge(&store);
+    }
+    merged.save_atomic(out).map_err(cache_error)?;
+    println!("wrote {out} ({})", merged.summary());
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `bat cache evict --input FILE --out FILE` — drop the exact-replay trial
+/// blobs, keeping only the compact cells (the form to ship).
+pub fn cmd_cache_evict(args: &Args) -> Result<ExitCode, Error> {
+    let out = args.required("--out")?;
+    let mut store = bat_cache::CacheStore::load(args.required("--input")?).map_err(cache_error)?;
+    store.evict_trials();
+    store.save_atomic(out).map_err(cache_error)?;
+    println!("wrote {out} ({})", store.summary());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `bat online` — KTT-style dynamic autotuning: does tuning during the
 /// application run pay for itself?
-pub fn cmd_online(opts: &Opts) {
-    let bench = opts.get("--bench").unwrap_or_else(|| "convolution".into());
-    let archs = selected_archs(opts);
+pub fn cmd_online(args: &Args) -> Result<ExitCode, Error> {
+    let bench = args.get("--bench").unwrap_or("convolution");
+    let archs = selected_archs(args)?;
     let arch = &archs[0];
-    let invocations = opts.get_usize("--invocations", 5000);
-    let tuning_budget = opts.get_u64("--budget", 200);
-    let seed = opts.get_u64("--seed", 0);
+    let invocations = args.get_or("--invocations", 5000)?;
+    let tuning_budget = args.get_or("--budget", 200)?;
+    let seed = args.get_or("--seed", 0)?;
 
-    let b = bench_on(&bench, arch);
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), seed);
+    let b = bench_on(bench, arch)?;
+    let l = paper_landscape(&b, args.get_or("--samples", 10_000)?, seed);
     let t_opt = l.best().map(|s| s.time_ms.unwrap());
 
     println!(
@@ -1133,6 +1111,7 @@ pub fn cmd_online(opts: &Opts) {
         f(static_ms / 1000.0, 2),
         t_opt.map_or("-".into(), |t| f(t * invocations as f64 / 1000.0, 2)),
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn sparkline(counts: &[u64]) -> String {
@@ -1155,33 +1134,118 @@ fn sparkline(counts: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{doc_lines, COMMANDS, HELP};
 
-    /// `bat serve` with `args`. Each case pins `--addr` to an address that
-    /// fails to parse, so a flag wrongly accepted surfaces as a transport
-    /// error instead of a daemon that never returns.
-    fn serve(args: &[&str]) -> Result<(), Error> {
+    fn run(args: &[&str]) -> Option<Result<ExitCode, Error>> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        cmd_serve(&args)
+        bat_harness::dispatch(COMMANDS, HELP, &args)
+    }
+
+    /// Every command rejects an unknown flag, a stray argument, a flag
+    /// missing its value and a repeated flag or switch with a spec error
+    /// naming it, before it runs. Besides the fixed rows, each command gets
+    /// an unknown-flag and a stray-argument row, and a missing-value and a
+    /// repeated row for its first declared flag and switch (`list` declares
+    /// none). The `serve` rows pin `--addr` to an address that fails to
+    /// bind, so a row wrongly accepted is a transport error, not a daemon
+    /// that never returns.
+    #[test]
+    fn every_command_rejects_unknown_stray_valueless_and_repeated_flags() {
+        let mut rows: Vec<(Vec<&str>, &str)> = vec![
+            (
+                vec!["serve", "--addr", "127.0.0.1:99999", "--inflight", "2"],
+                "--inflight",
+            ),
+            (vec!["serve", "--addr", "127.0.0.1:99999", "stray"], "stray"),
+            (
+                vec!["serve", "--addr", "127.0.0.1:99999", "--slots"],
+                "--slots",
+            ),
+            // Nor may the next flag stand in for the value.
+            (vec!["serve", "--addr", "--slots", "2"], "--addr"),
+            (vec!["tune", "--bench", "gemm", "--budegt", "5"], "--budegt"),
+            (
+                vec!["cache", "inspect", "merge", "--input", "c.json"],
+                "merge",
+            ),
+        ];
+        for &(name, values, switches, _) in COMMANDS {
+            let row = |tail: &[&'static str]| [name.split(' ').collect(), tail.to_vec()].concat();
+            rows.push((row(&["--no-such-flag"]), "--no-such-flag"));
+            rows.push((row(&["stray"]), "stray"));
+            if let Some(&flag) = values.first() {
+                rows.push((row(&[flag]), flag));
+                rows.push((row(&[flag, "x", flag, "x"]), flag));
+            }
+            if let Some(&switch) = switches.first() {
+                rows.push((row(&[switch, switch]), switch));
+            }
+        }
+        for (args, token) in rows {
+            let outcome = run(&args);
+            assert!(
+                matches!(&outcome, Some(Err(Error::Spec(m))) if m.contains(token)),
+                "{args:?}: {outcome:?}"
+            );
+        }
+    }
+
+    /// Command-line mistakes that used to panic are spec errors.
+    #[test]
+    fn bad_values_are_spec_errors_not_panics() {
+        for args in [
+            &["tune", "--budget", "abc"][..],
+            &["tune", "--bench", "nosuch"],
+            &["tune", "--tuner", "nosuch"],
+            &["tune", "--arch", "nosuch"],
+            &["tune", "--batch", "0"],
+            &["tune", "--budget", "5", "--batch", "8"],
+            &["pareto", "--tuner", "nosuch"],
+            &["tables", "--bench", "gemm,nosuch"],
+            &["compare", "--repeats", "4294967296"],
+            &["source", "--config", "1,x"],
+            &["source", "--bench", "gemm", "--config", "1,2"],
+            &["t1", "--bench", "nosuch"],
+            &["serve", "--slots", "0"],
+        ] {
+            let outcome = run(args);
+            assert!(
+                matches!(&outcome, Some(Err(Error::Spec(_)))),
+                "{args:?}: {outcome:?}"
+            );
+        }
     }
 
     #[test]
-    fn serve_rejects_unknown_flags() {
-        let err = serve(&["--addr", "127.0.0.1:99999", "--inflight", "2"]);
-        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--inflight")));
+    fn help_after_a_command_prints_the_usage_and_runs_nothing() {
+        // Without `--help` each of these is a spec error.
+        for args in [
+            &["tune", "--help", "--budegt", "5"][..],
+            &["list", "-h", "stray"],
+            &["campaign", "--help"],
+        ] {
+            assert!(matches!(run(args), Some(Ok(ExitCode::SUCCESS))), "{args:?}");
+        }
+        assert!(run(&["cache"]).is_none() && run(&["bogus"]).is_none());
     }
 
+    /// Every `bat …` line of the README's code blocks and of the usage
+    /// text's examples parses against its command's declared flags.
     #[test]
-    fn serve_rejects_stray_arguments() {
-        let err = serve(&["--addr", "127.0.0.1:99999", "stray"]);
-        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("stray")));
-    }
-
-    #[test]
-    fn serve_rejects_flags_missing_their_value() {
-        let err = serve(&["--addr", "127.0.0.1:99999", "--slots"]);
-        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--slots")));
-        // Nor may the next flag stand in for the value.
-        let err = serve(&["--addr", "--slots", "2"]);
-        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--addr")));
+    fn documented_command_lines_parse() {
+        let examples = HELP.split("EXAMPLES:").nth(1).unwrap();
+        let lines = [
+            doc_lines::command_lines(include_str!("../../../README.md"), "bat", true),
+            doc_lines::command_lines(examples, "bat", false),
+        ]
+        .concat();
+        assert!(lines.len() >= 10, "found only {lines:?}");
+        for line in lines.iter().filter(|l| *l != &["help"]) {
+            let (command, rest) = bat_harness::find_command(COMMANDS, line)
+                .unwrap_or_else(|| panic!("{line:?} names no command"));
+            if let Err(e) = Args::parse(rest, command.1, command.2) {
+                panic!("{line:?}: {e}");
+            }
+        }
     }
 }

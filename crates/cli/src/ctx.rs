@@ -1,108 +1,53 @@
 //! Shared helpers for the `bat` CLI.
 
 use bat_analysis::{sampled_valid, Landscape};
+use bat_core::Error;
 use bat_gpusim::GpuArch;
+use bat_harness::Args;
 use bat_kernels::{benchmark, GpuBenchmark, BENCHMARK_NAMES};
 
 /// The benchmarks the paper searches exhaustively (§V).
 pub const EXHAUSTIVE_BENCHES: [&str; 4] = ["pnpoly", "nbody", "gemm", "convolution"];
 
-/// Parse `--key value` style options from an argument list.
-pub struct Opts {
-    args: Vec<String>,
-}
-
-impl Opts {
-    /// Wrap an argument vector.
-    pub fn new(args: &[String]) -> Opts {
-        Opts {
-            args: args.to_vec(),
-        }
-    }
-
-    /// String option, e.g. `--bench gemm`.
-    pub fn get(&self, key: &str) -> Option<String> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .cloned()
-    }
-
-    /// Integer option with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// u64 option with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// Flag presence, e.g. `--csv`.
-    pub fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
-    }
-
-    /// Positional argument at `idx`, counted before the first `--option` —
-    /// the `inspect` in `bat cache inspect --input FILE`.
-    pub fn positional(&self, idx: usize) -> Option<String> {
-        self.args
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .nth(idx)
-            .cloned()
-    }
-}
-
 /// Benchmarks selected by `--bench` (comma-separated) or all seven.
-pub fn selected_benches(opts: &Opts) -> Vec<String> {
-    match opts.get("--bench") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                let s = s.trim().to_ascii_lowercase();
-                assert!(
-                    BENCHMARK_NAMES.contains(&s.as_str()),
+pub fn selected_benches(args: &Args) -> Result<Vec<String>, Error> {
+    let Some(list) = args.get("--bench") else {
+        return Ok(BENCHMARK_NAMES.iter().map(|s| s.to_string()).collect());
+    };
+    list.split(',')
+        .map(|s| {
+            let s = s.trim().to_ascii_lowercase();
+            if BENCHMARK_NAMES.contains(&s.as_str()) {
+                Ok(s)
+            } else {
+                Err(Error::spec(format!(
                     "unknown benchmark {s:?}; available: {BENCHMARK_NAMES:?}"
-                );
-                s
-            })
-            .collect(),
-        None => BENCHMARK_NAMES.iter().map(|s| s.to_string()).collect(),
-    }
+                )))
+            }
+        })
+        .collect()
 }
 
 /// Architectures selected by `--arch` (comma-separated) or the testbed.
-pub fn selected_archs(opts: &Opts) -> Vec<GpuArch> {
-    match opts.get("--arch") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                GpuArch::by_name(s.trim()).unwrap_or_else(|| {
-                    panic!(
-                        "unknown GPU {s:?}; available: RTX 2080 Ti, RTX 3060, RTX 3090, RTX Titan"
-                    )
-                })
+pub fn selected_archs(args: &Args) -> Result<Vec<GpuArch>, Error> {
+    let Some(list) = args.get("--arch") else {
+        return Ok(GpuArch::paper_testbed());
+    };
+    list.split(',')
+        .map(|s| {
+            GpuArch::by_name(s.trim()).ok_or_else(|| {
+                Error::spec(format!(
+                    "unknown GPU {s:?}; available: RTX 2080 Ti, RTX 3060, RTX 3090, RTX Titan"
+                ))
             })
-            .collect(),
-        None => GpuArch::paper_testbed(),
-    }
+        })
+        .collect()
 }
 
-/// Bind a benchmark to an architecture (panics on unknown name).
-pub fn bench_on(name: &str, arch: &GpuArch) -> GpuBenchmark {
-    benchmark(name, arch.clone()).unwrap_or_else(|| panic!("unknown benchmark {name:?}"))
+/// Bind a benchmark to an architecture.
+pub fn bench_on(name: &str, arch: &GpuArch) -> Result<GpuBenchmark, Error> {
+    benchmark(name, arch.clone())
+        .ok_or_else(|| Error::spec(format!("unknown benchmark {name:?}; see `bat list`")))
 }
 
 /// Collect the paper-protocol landscape: exhaustive for the four small

@@ -8,7 +8,8 @@ mod ctx;
 
 use std::process::ExitCode;
 
-use ctx::Opts;
+use bat_harness::{dispatch, Command, RUN_FLAGS};
+use commands::*;
 
 const HELP: &str = "\
 bat — BAT-rs: a benchmarking suite for kernel tuners (BAT 2.0 reproduction)
@@ -58,11 +59,18 @@ SUITE COMMANDS:
     source               print generated CUDA for a configuration (--bench, --config v1,v2,...)
     t1                   print a benchmark's T1 specification document (--bench)
 
-COMMON OPTIONS:
-    --bench a,b,...      restrict to benchmarks (default: all seven)
-    --arch a,b,...       restrict to GPUs (default: RTX 2080 Ti, RTX 3060, RTX 3090, RTX Titan)
-    --samples N          sample count for the non-exhaustive benchmarks (default 10000)
-    --seed N             RNG seed (default 0)
+COMMON OPTIONS (a command rejects any flag it does not take, a stray or
+repeated argument, and a flag missing its value; --help or -h after a
+command prints this text):
+    --bench a,b,...      restrict to benchmarks (default: all seven): every
+                         command but list, campaign, serve, cache merge/evict
+    --arch a,b,...       restrict to GPUs (default: RTX 2080 Ti, RTX 3060, RTX 3090,
+                         RTX Titan): the same commands but tables, t1, source
+    --samples N          sample count for the non-exhaustive benchmarks (default
+                         10000): table8, fig1-fig6, compare, online, difficulty,
+                         convergence-tuners
+    --seed N             RNG seed (default 0): table8, fig1-fig6, tune, pareto,
+                         online, difficulty, noise
 
 EXAMPLES:
     bat table8 --samples 3000
@@ -71,55 +79,56 @@ EXAMPLES:
     bat campaign --spec specs/ci-smoke.json --out smoke.json
 ";
 
-/// Print a typed [`bat_core::Error`] and exit non-zero — the service
-/// subcommands report failures through the unified error hierarchy
-/// instead of panicking.
-fn fail_on_error(outcome: Result<(), bat_core::Error>) {
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+/// Every command, with the flags it takes a value for and its switches.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("list", &[], &[], cmd_list),
+    ("tables", &["--bench"], &[], cmd_tables),
+    ("table8", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_table8),
+    ("fig1", &["--bench", "--arch", "--samples", "--seed", "--bins"], &[], cmd_fig1),
+    ("fig2", &["--bench", "--arch", "--samples", "--seed", "--reps", "--max-evals"], &[], cmd_fig2),
+    ("fig3", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_fig3),
+    ("fig4", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_fig4),
+    ("fig5", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_fig5),
+    ("fig6", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_fig6),
+    ("tune", &["--bench", "--arch", "--budget", "--seed", "--batch", "--tuner"], &["--json", "--t4", "--source"], cmd_tune),
+    ("pareto", &["--bench", "--arch", "--budget", "--seed", "--batch", "--tuner", "--capacity"], &[], cmd_pareto),
+    ("campaign", RUN_FLAGS.0, RUN_FLAGS.1, bat_harness::run_command),
+    ("serve", &["--addr", "--slots", "--threads", "--metrics", "--heartbeat", "--cache"], &[], cmd_serve),
+    ("cache inspect", &["--input", "--bench", "--arch"], &[], cmd_cache_inspect),
+    ("cache merge", &["--inputs", "--out"], &[], cmd_cache_merge),
+    ("cache evict", &["--input", "--out"], &[], cmd_cache_evict),
+    ("compare", &["--bench", "--arch", "--budget", "--repeats", "--samples"], &[], cmd_compare),
+    ("ranks", &["--bench", "--arch", "--budget", "--repeats"], &[], cmd_ranks),
+    ("online", &["--bench", "--arch", "--samples", "--seed", "--budget", "--invocations"], &[], cmd_online),
+    ("difficulty", &["--bench", "--arch", "--samples", "--seed"], &[], cmd_difficulty),
+    ("noise", &["--bench", "--arch", "--seed", "--budget", "--repeats"], &[], cmd_noise),
+    ("convergence-tuners", &["--bench", "--arch", "--samples", "--budget", "--repeats"], &[], cmd_convergence_tuners),
+    ("source", &["--bench", "--config"], &[], cmd_source),
+    ("t1", &["--bench"], &[], cmd_t1),
+];
+
+/// Run the command `args` names. A typed [`bat_core::Error`] is printed
+/// and exits 1, instead of a panic; an unknown command prints the usage
+/// and exits 2.
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(COMMANDS, HELP, &args) {
+        Some(Ok(code)) => code,
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        None => {
+            if let Some(cmd) = args.first() {
+                eprintln!("unknown command {cmd:?}\n");
+            }
+            print!("{HELP}");
+            ExitCode::from(2)
+        }
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
-        print!("{HELP}");
-        return ExitCode::from(2);
-    };
-    let opts = Opts::new(&args[1..]);
-    match cmd {
-        "list" => commands::cmd_list(&opts),
-        "tables" => commands::cmd_tables(&opts),
-        "table8" => commands::cmd_table8(&opts),
-        "fig1" => commands::cmd_fig1(&opts),
-        "fig2" => commands::cmd_fig2(&opts),
-        "fig3" => commands::cmd_fig3(&opts),
-        "fig4" => commands::cmd_fig4(&opts),
-        "fig5" => commands::cmd_fig5(&opts),
-        "fig6" => commands::cmd_fig6(&opts),
-        "tune" => commands::cmd_tune(&opts),
-        "pareto" => commands::cmd_pareto(&opts),
-        "campaign" => match bat_harness::run_command(&args[1..]) {
-            Ok(code) => return code,
-            Err(e) => fail_on_error(Err(e)),
-        },
-        "serve" => fail_on_error(commands::cmd_serve(&args[1..])),
-        "cache" => fail_on_error(commands::cmd_cache(&opts)),
-        "compare" => commands::cmd_compare(&opts),
-        "ranks" => commands::cmd_ranks(&opts),
-        "online" => commands::cmd_online(&opts),
-        "difficulty" => commands::cmd_difficulty(&opts),
-        "noise" => commands::cmd_noise(&opts),
-        "t1" => commands::cmd_t1(&opts),
-        "convergence-tuners" => commands::cmd_convergence_tuners(&opts),
-        "source" => commands::cmd_source(&opts),
-        "help" | "--help" | "-h" => print!("{HELP}"),
-        other => {
-            eprintln!("unknown command {other:?}\n");
-            print!("{HELP}");
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
-}
+#[cfg(test)]
+#[path = "../../harness/src/doc_lines.rs"]
+mod doc_lines;

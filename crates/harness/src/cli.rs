@@ -1,17 +1,126 @@
-//! The `run` command line, shared by `bat-harness run` and `bat campaign`.
+//! The one command-line parser of `bat` and `bat-harness`, and the `run`
+//! command both binaries share.
 //!
-//! Both binaries hand their arguments to [`run_command`], so the two
-//! front-ends accept exactly the same flags and reject the same mistakes:
-//! an unknown flag or a flag missing its value is an [`Error::Spec`],
-//! never silently ignored.
+//! Every command of both binaries declares the flags it takes a value
+//! for and its switches, and parses its arguments with [`Args::parse`]:
+//! an unknown flag, a stray argument, a flag missing its value or a
+//! repeated flag is an [`Error::Spec`] naming it, never silently ignored.
+//! `bat-harness run` and `bat campaign` both declare [`RUN_FLAGS`] and run
+//! [`run_command`], so they accept exactly the same flags.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use bat_core::Error;
 
 use crate::campaign::Endpoint;
 use crate::files::{load_spec_file, report_run, run_spec_to_file_cached};
 use crate::spec::ShardSpec;
+
+/// A command's arguments, parsed against the flags it declares.
+#[derive(Debug)]
+pub struct Args<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl<'a> Args<'a> {
+    /// Parse `args`: each flag in `values` takes the next argument as its
+    /// value, each flag in `switches` stands alone. A value may not
+    /// itself look like a flag: `--out --quiet` is a missing `--out`
+    /// value, not a file named `--quiet`.
+    pub fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Self, Error> {
+        let mut parsed: Vec<(&str, Option<&str>)> = Vec::new();
+        let mut args = args.iter().map(String::as_str);
+        while let Some(flag) = args.next() {
+            let value = if values.contains(&flag) {
+                let value = args.next().filter(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| Error::spec(format!("{flag} expects a value")))?)
+            } else if switches.contains(&flag) {
+                None
+            } else if flag.starts_with('-') {
+                return Err(Error::spec(format!("unknown flag {flag:?}")));
+            } else {
+                return Err(Error::spec(format!("unexpected argument {flag:?}")));
+            };
+            if parsed.iter().any(|&(f, _)| f == flag) {
+                return Err(Error::spec(format!("{flag} is given more than once")));
+            }
+            parsed.push((flag, value));
+        }
+        Ok(Args(parsed))
+    }
+
+    /// The value of `flag`, if it was given.
+    pub fn get(&self, flag: &str) -> Option<&'a str> {
+        self.0.iter().find(|&&(f, _)| f == flag)?.1
+    }
+
+    /// The value of `flag`, which the command requires.
+    pub fn required(&self, flag: &str) -> Result<&'a str, Error> {
+        self.get(flag)
+            .ok_or_else(|| Error::spec(format!("{flag} is required")))
+    }
+
+    /// Whether the switch (or flag) `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|&(f, _)| f == flag)
+    }
+
+    /// The value of `flag` parsed as a `T`, if it was given.
+    pub fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, Error> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| Error::spec(format!("bad {flag} value {v:?}")))
+            })
+            .transpose()
+    }
+
+    /// The value of `flag` parsed as a `T`, or `default` when absent.
+    pub fn get_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, Error> {
+        Ok(self.parsed(flag)?.unwrap_or(default))
+    }
+}
+
+/// A command of `bat` or `bat-harness`: its name (`cache inspect` for a
+/// subcommand), the flags it takes a value for, its switches, and the
+/// function that runs it on its parsed arguments.
+pub type Command = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+    fn(&Args) -> Result<ExitCode, Error>,
+);
+
+/// The command of `table` that `args` names, and the arguments after its
+/// name.
+pub fn find_command<'c, 'a>(
+    table: &'c [Command],
+    args: &'a [String],
+) -> Option<(&'c Command, &'a [String])> {
+    table.iter().find_map(|command| {
+        let words: Vec<&str> = command.0.split(' ').collect();
+        let named = args.len() >= words.len() && words.iter().zip(args).all(|(w, a)| *w == *a);
+        named.then(|| (command, &args[words.len()..]))
+    })
+}
+
+/// Run the command of `table` that `args` names on the rest of `args`;
+/// `None` when `args` names none. `help`, or `--help` or `-h` anywhere
+/// after a command name, prints `help` and runs nothing.
+pub fn dispatch(table: &[Command], help: &str, args: &[String]) -> Option<Result<ExitCode, Error>> {
+    if args.first()? == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{help}");
+        return Some(Ok(ExitCode::SUCCESS));
+    }
+    let (&(_, values, switches, run), rest) = find_command(table, args)?;
+    Some(Args::parse(rest, values, switches).and_then(|args| run(&args)))
+}
+
+/// The flags of `run`: those that take a value, then the switches.
+#[rustfmt::skip]
+pub const RUN_FLAGS: (&[&str], &[&str]) = (
+    &["--spec", "--out", "--shard", "--batch", "--fault-rate", "--threads", "--connect", "--trace", "--cache"],
+    &["--resume", "--serial", "--strict", "--quiet"],
+);
 
 /// The parsed `run` flags.
 #[derive(Debug, Default, PartialEq)]
@@ -32,73 +141,33 @@ struct RunArgs {
 }
 
 impl RunArgs {
-    fn parse(args: &[String]) -> Result<RunArgs, Error> {
-        let mut parsed = RunArgs::default();
-        let mut flags = Flags::new(args);
-        while let Some(flag) = flags.next_flag() {
-            match flag {
-                "--resume" => parsed.resume = true,
-                "--serial" => parsed.serial = true,
-                "--strict" => parsed.strict = true,
-                "--quiet" => parsed.quiet = true,
-                "--spec" => parsed.spec = Some(flags.value(flag)?.into()),
-                "--out" => parsed.out = Some(flags.value(flag)?.into()),
-                "--trace" => parsed.trace = Some(flags.value(flag)?.into()),
-                "--cache" => parsed.cache = Some(flags.value(flag)?.into()),
-                "--connect" => parsed.endpoint = Endpoint::parse(flags.value(flag)?)?,
-                "--shard" => parsed.shard = Some(parse_shard(flags.value(flag)?)?),
-                "--batch" => {
-                    let batch = flags.value(flag)?;
-                    parsed.batch = Some(
-                        batch
-                            .parse()
-                            .map_err(|_| Error::spec(format!("bad --batch value {batch:?}")))?,
-                    );
-                }
-                "--fault-rate" => {
-                    let rate = flags.value(flag)?;
-                    parsed.fault_rate = Some(
-                        rate.parse()
-                            .ok()
-                            .filter(|r| (0.0..=1.0).contains(r))
-                            .ok_or_else(|| {
-                                Error::spec(format!("--fault-rate must be in [0, 1], got {rate:?}"))
-                            })?,
-                    );
-                }
-                "--threads" => parsed.threads = Some(flags.value(flag)?.into()),
-                other => return Err(Error::spec(format!("unknown run flag {other:?}"))),
-            }
+    fn parse(args: &Args) -> Result<RunArgs, Error> {
+        let fault_rate = args.parsed("--fault-rate")?;
+        if let Some(rate) = fault_rate.filter(|r: &f64| !(0.0..=1.0).contains(r)) {
+            return Err(Error::spec(format!(
+                "--fault-rate must be in [0, 1], got {rate}"
+            )));
         }
-        Ok(parsed)
-    }
-}
-
-/// A strict walk over `--flag [value]` arguments, shared by `run` and
-/// `bat serve`: the caller matches each flag, takes its value with
-/// [`Flags::value`], and reports any flag it does not know as an error.
-pub struct Flags<'a>(std::slice::Iter<'a, String>);
-
-impl<'a> Flags<'a> {
-    /// Walk `args` from the first.
-    pub fn new(args: &'a [String]) -> Flags<'a> {
-        Flags(args.iter())
-    }
-
-    /// The next flag (or stray argument), `None` at the end.
-    pub fn next_flag(&mut self) -> Option<&'a str> {
-        self.0.next().map(String::as_str)
-    }
-
-    /// The value of `flag`. A value may not itself look like a flag:
-    /// `--out --quiet` is a missing `--out` value, not a file named
-    /// `--quiet`.
-    pub fn value(&mut self, flag: &str) -> Result<&'a str, Error> {
-        self.0
-            .next()
-            .filter(|v| !v.starts_with("--"))
-            .map(String::as_str)
-            .ok_or_else(|| Error::spec(format!("{flag} expects a value")))
+        let owned = |flag| args.get(flag).map(String::from);
+        Ok(RunArgs {
+            spec: owned("--spec"),
+            out: owned("--out"),
+            resume: args.has("--resume"),
+            serial: args.has("--serial"),
+            shard: args.get("--shard").map(parse_shard).transpose()?,
+            batch: args.parsed("--batch")?,
+            fault_rate,
+            threads: owned("--threads"),
+            endpoint: args
+                .get("--connect")
+                .map(Endpoint::parse)
+                .transpose()?
+                .unwrap_or_default(),
+            trace: owned("--trace"),
+            cache: owned("--cache"),
+            strict: args.has("--strict"),
+            quiet: args.has("--quiet"),
+        })
     }
 }
 
@@ -133,11 +202,11 @@ pub fn set_threads(threads: &str) -> Result<(), Error> {
     Ok(())
 }
 
-/// Run the `run` command: parse `args` (everything after `run`), execute
+/// Run the `run` command on `args` (parsed against [`RUN_FLAGS`]): execute
 /// the spec through [`run_spec_to_file_cached`], print the artifact to
 /// stdout when there is no `--out`, and report to stderr. Exits with
 /// failure under `--strict` when any trial found no valid configuration.
-pub fn run_command(args: &[String]) -> Result<ExitCode, Error> {
+pub fn run_command(args: &Args) -> Result<ExitCode, Error> {
     let args = RunArgs::parse(args)?;
     if let Some(threads) = &args.threads {
         set_threads(threads)?;
@@ -185,13 +254,53 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<RunArgs, Error> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        RunArgs::parse(&args)
+        RunArgs::parse(&Args::parse(&args, RUN_FLAGS.0, RUN_FLAGS.1)?)
+    }
+
+    /// An unknown (here: misspelled) flag, a stray argument, a flag
+    /// missing its value and a repeated flag or switch are each a spec
+    /// error naming the offending token.
+    #[test]
+    fn run_rejects_unknown_stray_valueless_and_repeated_flags() {
+        for (args, token) in [
+            (
+                &["--spec", "s.json", "--fualt-rate", "0.5", "--out", "x.json"][..],
+                "--fualt-rate",
+            ),
+            (&["--spec", "s.json", "-q"], "-q"),
+            (&["--spec", "s.json", "stray"], "stray"),
+            (&["--spec", "s.json", "--batch"], "--batch"),
+            (
+                &["--spec", "a.json", "--out", "o.json", "--spec", "b.json"],
+                "--spec",
+            ),
+            (&["--spec", "s.json", "--quiet", "--quiet"], "--quiet"),
+        ] {
+            let err = parse(args);
+            assert!(
+                matches!(&err, Err(Error::Spec(m)) if m.contains(token)),
+                "{args:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
-    fn misspelled_flags_are_rejected() {
-        let err = parse(&["--spec", "s.json", "--fualt-rate", "0.5", "--out", "x.json"]);
-        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--fualt-rate")));
+    fn typed_getters_parse_or_default() {
+        let argv: Vec<String> = ["--n", "7", "--x", "abc", "--on"]
+            .map(String::from)
+            .to_vec();
+        let args = Args::parse(&argv, &["--n", "--x", "--m"], &["--on", "--off"]).unwrap();
+        assert_eq!(args.get("--n"), Some("7"));
+        assert_eq!(args.get("--m"), None);
+        assert!(args.has("--on") && !args.has("--off"));
+        assert_eq!(args.get_or("--n", 1u64).unwrap(), 7);
+        assert_eq!(args.get_or("--m", 1u64).unwrap(), 1);
+        let err = args.get_or("--x", 1u64);
+        assert!(matches!(err, Err(Error::Spec(m)) if m.contains("--x") && m.contains("abc")));
+        // A negative number is a value, not a flag.
+        let argv: Vec<String> = ["--n", "-3"].map(String::from).to_vec();
+        let args = Args::parse(&argv, &["--n"], &[]).unwrap();
+        assert_eq!(args.get_or("--n", 0i64).unwrap(), -3);
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!   flow with checkpointed artifacts, metadata and the `--cache` store;
 //! * [`run_tuning`], one tuner on one problem outside any campaign.
 //!
-//! The `run` command line of both binaries (`bat-harness run`,
-//! `bat campaign`) is parsed once, by [`run_command`]; its strict flag
-//! walk, [`Flags`], parses `bat serve` too.
+//! Every command of both binaries parses its arguments with [`Args`],
+//! the one strict parser; the `run` command (`bat-harness run`, `bat
+//! campaign`) is [`run_command`] with its flags declared once, in
+//! [`RUN_FLAGS`].
 //!
 //! ```
 //! use bat_harness::{run_campaign, ExperimentSpec, Selector};
@@ -63,7 +64,7 @@ pub use campaign::{
     merge_campaigns, resume_campaign, run_campaign, run_campaign_at, run_campaign_serial,
     run_tuning, tuner_by_name, CampaignRun, Endpoint, EvalStats,
 };
-pub use cli::{run_command, set_threads, Flags};
+pub use cli::{dispatch, find_command, run_command, set_threads, Args, Command, RUN_FLAGS};
 pub use files::{
     campaign_metadata, load_result_file, load_spec_file, merge_files, metadata_path, report_run,
     run_spec_to_file_cached,

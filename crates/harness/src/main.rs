@@ -8,9 +8,11 @@
 
 use std::process::ExitCode;
 
+use bat_core::Error;
 use bat_harness::{
-    convergence_auc, load_result_file, load_spec_file, merge_files, render_table, report_run,
-    run_campaign, run_command, set_threads, CampaignSummary, ExperimentSpec,
+    convergence_auc, dispatch, load_result_file, load_spec_file, merge_files, render_table,
+    report_run, run_campaign, run_command, set_threads, Args, CampaignSummary, Command,
+    ExperimentSpec, RUN_FLAGS,
 };
 
 const HELP: &str = "\
@@ -27,8 +29,7 @@ COMMANDS:
     run        execute a campaign spec; writes the CampaignResult JSON to
                --out (or stdout, plus a <out>.meta.json T4 metadata
                document) and prints the summary tables. `bat campaign` is
-               the same command with the same flags; unknown flags and
-               flags missing their value are errors
+               the same command with the same flags
     merge      merge shard artifacts into the complete campaign artifact
                (missing trials execute); byte-identical to the unsharded run
     summary    print the summary tables of an existing result artifact
@@ -37,6 +38,10 @@ COMMANDS:
                quality view: throughput, mean final best and mean
                convergence AUC per batch size (see specs/batch-sweep.json)
     trials     list the compiled trials of a spec without running them
+
+Every command of both binaries rejects an unknown flag, a stray argument,
+a repeated flag and a flag missing its value; `--help` or `-h` after a
+command prints this text.
 
 OPTIONS:
     --spec FILE    campaign spec (see specs/ for examples)
@@ -73,36 +78,34 @@ OPTIONS:
     --quiet        suppress the summary tables and throughput line
 ";
 
-fn opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Every command, with the flags it takes a value for and its switches.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("run", RUN_FLAGS.0, RUN_FLAGS.1, run_command),
+    ("merge", &["--spec", "--inputs", "--out"], &["--quiet"], cmd_merge),
+    ("summary", &["--input"], &[], cmd_summary),
+    ("sweep-batch", &["--spec", "--batches", "--threads"], &[], cmd_sweep_batch),
+    ("trials", &["--spec"], &[], cmd_trials),
+];
+
+fn load_spec(args: &Args) -> Result<ExperimentSpec, Error> {
+    load_spec_file(args.required("--spec")?)
 }
 
-fn flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
-}
-
-fn load_spec(args: &[String]) -> Result<ExperimentSpec, String> {
-    let path = opt(args, "--spec").ok_or("--spec FILE is required")?;
-    load_spec_file(&path).map_err(|e| e.to_string())
-}
-
-fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_merge(args: &Args) -> Result<ExitCode, Error> {
     let spec = load_spec(args)?;
-    let inputs: Vec<String> = opt(args, "--inputs")
-        .ok_or("--inputs A,B,... is required")?
+    let inputs: Vec<String> = args
+        .required("--inputs")?
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
     if inputs.is_empty() {
-        return Err("--inputs names no artifacts".into());
+        return Err(Error::spec("--inputs names no artifacts"));
     }
-    let out = opt(args, "--out").ok_or("--out FILE is required")?;
-    let run = merge_files(&spec, &inputs, &out).map_err(|e| e.to_string())?;
-    report_run(&run, flag(args, "--quiet"));
+    let out = args.required("--out")?;
+    let run = merge_files(&spec, &inputs, out)?;
+    report_run(&run, args.has("--quiet"));
     eprintln!("merged {} artifacts into {out}", inputs.len());
     Ok(ExitCode::SUCCESS)
 }
@@ -114,31 +117,29 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 /// Quality at `batch = 1` is the serial protocol's; larger batches trade
 /// staler search state for batched measurement, and this table is how that
 /// trade is audited.
-fn cmd_sweep_batch(args: &[String]) -> Result<ExitCode, String> {
-    if let Some(threads) = opt(args, "--threads") {
-        set_threads(&threads).map_err(|e| e.to_string())?;
+fn cmd_sweep_batch(args: &Args) -> Result<ExitCode, Error> {
+    if let Some(threads) = args.get("--threads") {
+        set_threads(threads)?;
     }
     let base = load_spec(args)?;
-    let batches: Vec<u32> = opt(args, "--batches")
-        .unwrap_or_else(|| "1,4,16,64".into())
+    let batches: Vec<u32> = args
+        .get("--batches")
+        .unwrap_or("1,4,16,64")
         .split(',')
         .map(|s| {
             s.trim()
                 .parse::<u32>()
                 .ok()
                 .filter(|&b| b >= 1)
-                .ok_or_else(|| format!("bad --batches entry {s:?}"))
+                .ok_or_else(|| Error::spec(format!("bad --batches entry {s:?}")))
         })
         .collect::<Result<_, _>>()?;
-    if batches.is_empty() {
-        return Err("--batches names no sizes".into());
-    }
 
     let mut runs = Vec::new();
     for &batch in &batches {
         let mut spec = base.clone();
         spec.protocol.set_batch(batch);
-        let run = run_campaign(&spec).map_err(|e| e.to_string())?;
+        let run = run_campaign(&spec)?;
         eprintln!(
             "batch {batch:4}: {} trials in {:.2}s",
             run.executed,
@@ -200,16 +201,15 @@ fn cmd_sweep_batch(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
-    let path = opt(args, "--input").ok_or("--input FILE is required")?;
-    let result = load_result_file(&path).map_err(|e| e.to_string())?;
+fn cmd_summary(args: &Args) -> Result<ExitCode, Error> {
+    let result = load_result_file(args.required("--input")?)?;
     print!("{}", CampaignSummary::from_result(&result).render());
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trials(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_trials(args: &Args) -> Result<ExitCode, Error> {
     let spec = load_spec(args)?;
-    let trials = spec.compile().map_err(|e| e.to_string())?;
+    let trials = spec.compile().map_err(Error::spec)?;
     let rows: Vec<Vec<String>> = trials
         .iter()
         .map(|t| {
@@ -243,26 +243,106 @@ fn cmd_trials(args: &[String]) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = match args.first().map(String::as_str) {
-        Some("run") => run_command(&args[1..]).map_err(|e| e.to_string()),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("summary") => cmd_summary(&args[1..]),
-        Some("sweep-batch") => cmd_sweep_batch(&args[1..]),
-        Some("trials") => cmd_trials(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
-        }
-        _ => {
-            eprint!("{HELP}");
-            return ExitCode::from(2);
-        }
-    };
-    match outcome {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("bat-harness: {msg}");
+    match dispatch(COMMANDS, HELP, &args) {
+        Some(Ok(code)) => code,
+        Some(Err(e)) => {
+            eprintln!("bat-harness: {e}");
             ExitCode::from(2)
+        }
+        None => {
+            eprint!("{HELP}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod doc_lines;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(args: &[&str]) -> Option<Result<ExitCode, Error>> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        dispatch(COMMANDS, HELP, &args)
+    }
+
+    /// `merge`, `summary`, `sweep-batch` and `trials` reject an unknown
+    /// flag, a stray argument, a flag missing its value and a repeated flag
+    /// with a spec error naming it, before they read any file (`run`'s
+    /// rows are with `RunArgs` in the library's `cli` tests).
+    #[test]
+    fn every_command_rejects_unknown_stray_valueless_and_repeated_flags() {
+        for (args, token) in [
+            (&["merge", "--spec", "s.json", "--quite"][..], "--quite"),
+            (&["merge", "--spec", "s.json", "stray"], "stray"),
+            (&["merge", "--spec", "s.json", "--out"], "--out"),
+            (
+                &["merge", "--quiet", "--spec", "s.json", "--quiet"],
+                "--quiet",
+            ),
+            (&["summary", "--inputs", "r.json"], "--inputs"),
+            (&["summary", "r.json"], "r.json"),
+            (&["summary", "--input"], "--input"),
+            (
+                &["summary", "--input", "a.json", "--input", "b.json"],
+                "--input",
+            ),
+            (
+                &["sweep-batch", "--spec", "s.json", "--batch", "4"],
+                "--batch",
+            ),
+            (&["sweep-batch", "--spec", "s.json", "4"], "4"),
+            (
+                &["sweep-batch", "--threads", "--spec", "s.json"],
+                "--threads",
+            ),
+            (
+                &["sweep-batch", "--batches", "1", "--batches", "4"],
+                "--batches",
+            ),
+            (&["trials", "--spec", "s.json", "--out", "t.txt"], "--out"),
+            (&["trials", "specs/ci-smoke.json"], "specs/ci-smoke.json"),
+            (&["trials", "--spec"], "--spec"),
+            (
+                &["trials", "--spec", "a.json", "--spec", "b.json"],
+                "--spec",
+            ),
+        ] {
+            let outcome = run(args);
+            assert!(
+                matches!(&outcome, Some(Err(Error::Spec(m))) if m.contains(token)),
+                "{args:?}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn help_after_run_prints_the_usage_and_runs_nothing() {
+        // Without `--help` both are spec errors: no `--spec`, a stray flag.
+        for args in [
+            &["run", "--help"][..],
+            &["run", "--spec", "s.json", "-h", "--bogus"],
+        ] {
+            assert!(matches!(run(args), Some(Ok(ExitCode::SUCCESS))), "{args:?}");
+        }
+        assert!(run(&["bogus"]).is_none());
+    }
+
+    /// Every `bat-harness …` line of the README parses against its
+    /// command's declared flags.
+    #[test]
+    fn documented_command_lines_parse() {
+        let lines =
+            doc_lines::command_lines(include_str!("../../../README.md"), "bat-harness", true);
+        assert!(lines.len() >= 10, "found only {lines:?}");
+        for line in lines {
+            let (command, rest) = bat_harness::find_command(COMMANDS, &line)
+                .unwrap_or_else(|| panic!("{line:?} names no command"));
+            if let Err(e) = Args::parse(rest, command.1, command.2) {
+                panic!("{line:?}: {e}");
+            }
         }
     }
 }
