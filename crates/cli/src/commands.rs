@@ -1141,28 +1141,39 @@ mod tests {
         bat_harness::dispatch(COMMANDS, HELP, &args)
     }
 
+    /// The `serve` tests pin `--addr` to an address that fails to bind, so
+    /// arguments wrongly accepted are a transport error, not a daemon that
+    /// never returns.
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        let err = run(&["serve", "--addr", "127.0.0.1:99999", "--inflight", "2"]);
+        assert!(matches!(err, Some(Err(Error::Spec(m))) if m.contains("--inflight")));
+    }
+
+    #[test]
+    fn serve_rejects_stray_arguments() {
+        let err = run(&["serve", "--addr", "127.0.0.1:99999", "stray"]);
+        assert!(matches!(err, Some(Err(Error::Spec(m))) if m.contains("stray")));
+    }
+
+    #[test]
+    fn serve_rejects_flags_missing_their_value() {
+        let err = run(&["serve", "--addr", "127.0.0.1:99999", "--slots"]);
+        assert!(matches!(err, Some(Err(Error::Spec(m))) if m.contains("--slots")));
+        // Nor may the next flag stand in for the value.
+        let err = run(&["serve", "--addr", "--slots", "2"]);
+        assert!(matches!(err, Some(Err(Error::Spec(m))) if m.contains("--addr")));
+    }
+
     /// Every command rejects an unknown flag, a stray argument, a flag
     /// missing its value and a repeated flag or switch with a spec error
     /// naming it, before it runs. Besides the fixed rows, each command gets
     /// an unknown-flag and a stray-argument row, and a missing-value and a
     /// repeated row for its first declared flag and switch (`list` declares
-    /// none). The `serve` rows pin `--addr` to an address that fails to
-    /// bind, so a row wrongly accepted is a transport error, not a daemon
-    /// that never returns.
+    /// none).
     #[test]
     fn every_command_rejects_unknown_stray_valueless_and_repeated_flags() {
         let mut rows: Vec<(Vec<&str>, &str)> = vec![
-            (
-                vec!["serve", "--addr", "127.0.0.1:99999", "--inflight", "2"],
-                "--inflight",
-            ),
-            (vec!["serve", "--addr", "127.0.0.1:99999", "stray"], "stray"),
-            (
-                vec!["serve", "--addr", "127.0.0.1:99999", "--slots"],
-                "--slots",
-            ),
-            // Nor may the next flag stand in for the value.
-            (vec!["serve", "--addr", "--slots", "2"], "--addr"),
             (vec!["tune", "--bench", "gemm", "--budegt", "5"], "--budegt"),
             (
                 vec!["cache", "inspect", "merge", "--input", "c.json"],
